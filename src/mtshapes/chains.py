@@ -24,13 +24,12 @@ import numpy as np
 from .enumeration import count_space
 from .lattice import (
     LatticeGraph,
+    Neighborhood,
     build_hasse,
     max_degree,
-    present_edges,
-    refine_node,
-    split_count,
+    split_count,  # noqa: F401  (kept importable: perfbench counts calls through it)
 )
-from .shapes import TreeShape, collapse_edge
+from .shapes import TreeShape
 
 __all__ = [
     "ChainSpec",
@@ -56,7 +55,6 @@ __all__ = [
 ]
 
 KINDS = ("symmetric", "random-walk")
-SAMPLERS = ("mh-uniform", "symmetric", "random-walk")
 
 
 @dataclass(frozen=True)
@@ -80,11 +78,17 @@ class ChainState:
     step: int = 0
     accepted: int = 0
     proposed: int = 0
-    cached_degree: int | None = field(default=None, repr=False)
+    cached: Neighborhood | None = field(default=None, repr=False)
 
     @property
     def acceptance_rate(self) -> float:
         return self.accepted / self.proposed if self.proposed else math.nan
+
+    def neighborhood(self) -> Neighborhood:
+        """The current shape's neighborhood, rebuilt after the shape changed."""
+        if self.cached is None or self.cached.shape is not self.shape:
+            self.cached = Neighborhood(self.shape)
+        return self.cached
 
 
 def random_below(rng: np.random.Generator, n: int) -> int:
@@ -95,77 +99,32 @@ def random_below(rng: np.random.Generator, n: int) -> int:
         return 0
     bits = n.bit_length()
     words = (bits + 31) // 32
-    excess = words * 32 - bits
     while True:
+        # Scalar draws consume the stream exactly as one size=words draw
+        # does, without the array's overhead.
         r = 0
-        for w in rng.integers(0, 1 << 32, size=words, dtype=np.uint64):
-            r = (r << 32) | int(w)
-        r >>= excess
+        for _ in range(words):
+            r = (r << 32) | int(rng.integers(0, 1 << 32, dtype=np.uint64))
+        r >>= words * 32 - bits
         if r < n:
             return r
 
 
-def _degree_parts(shape: TreeShape):
-    """(present edges, per-node split counts, total degree)."""
-    edges = present_edges(shape)
-    splits = [split_count(k, l) for k, l in shape.children_counts()]
-    return edges, splits, len(edges) + sum(splits)
-
-
-def _unrank_combination(items: list[int], size: int, rank: int) -> tuple[int, ...]:
-    # Lexicographic unranking of a size-subset of items.
-    out = []
-    start = 0
-    for _ in range(size):
-        for pos in range(start, len(items)):
-            block = math.comb(len(items) - pos - 1, size - len(out) - 1)
-            if rank < block:
-                out.append(items[pos])
-                start = pos + 1
-                break
-            rank -= block
-    return tuple(out)
-
-
-def neighbor_by_rank(shape: TreeShape, rank: int, parts=None) -> TreeShape:
-    """The ``rank``-th neighbor (0-based) in a fixed deterministic order:
-    collapses by edge, then refinements by node, split size, moved-leaf
-    count, and moved-subset lexicographic position."""
-    edges, splits, deg = parts if parts is not None else _degree_parts(shape)
-    if not 0 <= rank < deg:
-        raise ValueError(f"rank must be in [0, {deg}), got {rank}")
-    if rank < len(edges):
-        return collapse_edge(shape, edges[rank])
-    rank -= len(edges)
-    children = [[] for _ in shape.t]
-    for c, p in enumerate(shape.t[1:], start=2):
-        children[p - 1].append(c)
-    for i, ((ki, li), w) in enumerate(
-        zip(shape.children_counts(), splits), start=1
-    ):
-        if rank >= w:
-            rank -= w
-            continue
-        for s in range(2, ki + li):
-            for j in range(max(0, s - ki), min(s, li) + 1):
-                cell = math.comb(ki, s - j)
-                if rank < cell:
-                    moved = _unrank_combination(children[i - 1], s - j, rank)
-                    return refine_node(shape, i, moved, j)
-                rank -= cell
-    raise AssertionError("unreachable: rank exceeded enumerated neighbors")
+def neighbor_by_rank(shape: TreeShape, rank: int) -> TreeShape:
+    """The ``rank``-th neighbor (0-based) in :class:`~mtshapes.lattice.Neighborhood` order."""
+    return Neighborhood(shape).neighbor(rank)
 
 
 def uniform_neighbor(
-    rng: np.random.Generator, shape: TreeShape, parts=None
+    rng: np.random.Generator, shape: TreeShape, nbhd: Neighborhood | None = None
 ) -> tuple[TreeShape, int]:
-    """A uniformly chosen neighbor and the degree of ``shape``."""
-    if parts is None:
-        parts = _degree_parts(shape)
-    deg = parts[2]
-    if deg == 0:
+    """A uniformly chosen neighbor and the degree of ``shape``; ``nbhd``,
+    if given, is ``shape``'s already built neighborhood."""
+    if nbhd is None:
+        nbhd = Neighborhood(shape)
+    if nbhd.degree == 0:
         raise ValueError("shape has no neighbors (single-shape space)")
-    return neighbor_by_rank(shape, random_below(rng, deg), parts), deg
+    return nbhd.neighbor(random_below(rng, nbhd.degree)), nbhd.degree
 
 
 def step_symmetric(
@@ -173,14 +132,12 @@ def step_symmetric(
 ) -> ChainState:
     """One step of the symmetric chain: each neighbor with probability
     1/M_N, else hold (self-loop mass 1 - deg/M_N)."""
-    shape = state.shape
     if m_n is None:
-        m_n = max_degree(shape.n_tips)
-    parts = _degree_parts(shape)
+        m_n = max_degree(state.shape.n_tips)
+    nbhd = state.neighborhood()
     r = random_below(rng, m_n)
-    if r < parts[2]:
-        state.shape = neighbor_by_rank(shape, r, parts)
-        state.cached_degree = None
+    if r < nbhd.degree:
+        state.shape = nbhd.neighbor(r)
     state.step += 1
     return state
 
@@ -188,8 +145,7 @@ def step_symmetric(
 def step_random_walk(state: ChainState, rng: np.random.Generator) -> ChainState:
     """One step of the simple random walk: a uniform neighbor, never a
     self-loop (reflects at binary shapes and at the star)."""
-    state.shape, _ = uniform_neighbor(rng, state.shape)
-    state.cached_degree = None
+    state.shape, _ = uniform_neighbor(rng, state.shape, state.neighborhood())
     state.step += 1
     return state
 
@@ -197,11 +153,9 @@ def step_random_walk(state: ChainState, rng: np.random.Generator) -> ChainState:
 def step_mh_uniform(state: ChainState, rng: np.random.Generator) -> ChainState:
     """One Metropolis-Hastings step targeting the uniform distribution,
     with the random walk as proposal: accept with min(1, deg/deg')."""
-    if state.cached_degree is None:
-        state.cached_degree = _degree_parts(state.shape)[2]
-    deg = state.cached_degree
-    proposal, _ = uniform_neighbor(rng, state.shape)
-    deg_p = _degree_parts(proposal)[2]
+    proposal, deg = uniform_neighbor(rng, state.shape, state.neighborhood())
+    there = Neighborhood(proposal)
+    deg_p = there.degree
     state.proposed += 1
     u = rng.random()
     if deg >= deg_p:
@@ -211,8 +165,7 @@ def step_mh_uniform(state: ChainState, rng: np.random.Generator) -> ChainState:
     else:
         accept = Fraction(u) < Fraction(deg, deg_p)
     if accept:
-        state.shape = proposal
-        state.cached_degree = deg_p
+        state.shape, state.cached = proposal, there
         state.accepted += 1
     state.step += 1
     return state
@@ -264,28 +217,23 @@ class RunResult:
 
 _STEPPERS = {
     "mh-uniform": step_mh_uniform,
+    "symmetric": step_symmetric,
     "random-walk": step_random_walk,
 }
 
 
-def _run_one_chain(n, sampler, n_steps, thin, init_shape, seed_seq, m_n):
+def _run_one_chain(n, sampler, n_steps, thin, init_shape, seed_seq):
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     if isinstance(init_shape, int):  # draw a semi-random start with k = init_shape
         state = ChainState(semi_random_init(n, init_shape, rng))
     else:
         state = ChainState(init_shape)
+    stepper = _STEPPERS[sampler]
     out = []
-    if sampler == "symmetric":
-        for s in range(1, n_steps + 1):
-            step_symmetric(state, rng, m_n)
-            if s % thin == 0:
-                out.append(state.shape)
-    else:
-        stepper = _STEPPERS[sampler]
-        for s in range(1, n_steps + 1):
-            stepper(state, rng)
-            if s % thin == 0:
-                out.append(state.shape)
+    for s in range(1, n_steps + 1):
+        stepper(state, rng)
+        if s % thin == 0:
+            out.append(state.shape)
     return out, state.acceptance_rate
 
 
@@ -307,8 +255,8 @@ def run_chains(
     shape with (i mod (N-1)) + 1 internal nodes, drawn from that chain's
     own stream), a single TreeShape, or one TreeShape per chain.
     """
-    if sampler not in SAMPLERS:
-        raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
+    if sampler not in _STEPPERS:
+        raise ValueError(f"sampler must be one of {tuple(_STEPPERS)}, got {sampler!r}")
     if n_chains < 1 or n_steps < 1 or thin < 1:
         raise ValueError("n_chains, n_steps and thin must be positive")
     if init == "semi-random":
@@ -321,11 +269,9 @@ def run_chains(
         inits = list(init)
         if len(inits) != n_chains or any(s.n_tips != n for s in inits):
             raise ValueError("init must provide one n-tip shape per chain")
-    m_n = max_degree(n) if sampler == "symmetric" else None
     seqs = np.random.SeedSequence(seed).spawn(n_chains)
     jobs = [
-        (n, sampler, n_steps, thin, inits[i], seqs[i], m_n)
-        for i in range(n_chains)
+        (n, sampler, n_steps, thin, inits[i], seqs[i]) for i in range(n_chains)
     ]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -60,14 +60,17 @@ def _read_shapes(path: str) -> list[TreeShape]:
     handle = sys.stdin if path == "-" else open(path)
     try:
         shapes = []
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("{"):
-                shapes.append(TreeShape.from_json(line))
-            else:
-                shapes.append(TreeShape.from_text(line))
+            try:
+                if line.startswith("{"):
+                    shapes.append(TreeShape.from_json(line))
+                else:
+                    shapes.append(TreeShape.from_text(line))
+            except ValueError as e:
+                raise ValueError(f"line {lineno}: {e}") from e
         return shapes
     finally:
         if handle is not sys.stdin:

@@ -12,20 +12,23 @@ small N, and the lattice distance.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
 from .enumeration import DEFAULT_GENERATION_CAP, generate_all
-from .shapes import TreeShape, collapse_edge, validate_fmatrix
+from .shapes import InvalidShapeError, TreeShape, collapse_edge, validate_fmatrix
 
 __all__ = [
     "present_edges",
     "covers",
     "split_count",
     "refine_node",
+    "Neighborhood",
     "refinements_below",
     "deg_plus",
     "deg_minus",
@@ -73,6 +76,13 @@ def split_count(k: int, l: int) -> int:
     return (l + 1) * 2**k - k - 3 + (1 if l == 0 else 0)
 
 
+@functools.cache
+def _memo_split_count(profile: tuple[int, int]) -> int:
+    # A miss calls split_count by its module name, so a wrapper installed
+    # on that name sees every computation.
+    return split_count(*profile)
+
+
 def refine_node(shape: TreeShape, node: int, moved: tuple[int, ...], leaves: int) -> TreeShape:
     """Split ``node`` by inserting a new node of rank ``node + 1`` that
     takes the internal children ``moved`` (old ranks) plus ``leaves`` of
@@ -80,52 +90,85 @@ def refine_node(shape: TreeShape, node: int, moved: tuple[int, ...], leaves: int
     """
     t, l = shape.t, shape.l
     k = len(t)
+    node, leaves = index(node), index(leaves)
     if not 1 <= node <= k:
         raise ValueError(f"node must be in 1..{k}, got {node}")
     moved_set = frozenset(moved)
     if any(c < 2 or c > k or t[c - 1] != node for c in moved_set):
         raise ValueError(f"moved ranks must be internal children of node {node}")
-    ki = shape.children_counts()[node - 1][0]
     size = len(moved_set) + leaves
-    if leaves < 0 or leaves > l[node - 1] or not 2 <= size <= ki + l[node - 1] - 1:
+    if leaves < 0 or leaves > l[node - 1] or not 2 <= size <= t.count(node) + l[node - 1] - 1:
         raise ValueError("split must move at least 2 and leave at least 1 child")
-    new_t = list(t[:node]) + [node]
-    for c in range(node, k):  # old 0-based index of ranks node+1..K
-        if c + 1 in moved_set:
-            new_t.append(node + 1)
-        else:
-            p = t[c]
-            new_t.append(p if p <= node else p + 1)
-    new_l = (
-        list(l[: node - 1])
-        + [l[node - 1] - leaves, leaves]
-        + list(l[node:])
+    new_t = t[:node] + (node,) + tuple(
+        node + 1 if c in moved_set else (p if p <= node else p + 1)
+        for c, p in enumerate(t[node:], start=node + 1)
     )
-    return TreeShape(new_t, new_l)
+    new_l = l[: node - 1] + (l[node - 1] - leaves, leaves) + l[node:]
+    return TreeShape._trusted(new_t, new_l)
 
 
-def _children_ranks(shape: TreeShape) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in shape.t]
-    for c, p in enumerate(shape.t[1:], start=2):
-        out[p - 1].append(c)
-    return out
+def _unrank_combination(items: list[int], size: int, rank: int) -> tuple[int, ...]:
+    # Lexicographic unranking of a size-subset of items.
+    out = []
+    start = 0
+    for _ in range(size):
+        for pos in range(start, len(items)):
+            block = math.comb(len(items) - pos - 1, size - len(out) - 1)
+            if rank < block:
+                out.append(items[pos])
+                start = pos + 1
+                break
+            rank -= block
+    return tuple(out)
+
+
+class Neighborhood:
+    """The one-step neighbors of a shape, indexed by rank 0..degree-1.
+
+    Built once from the shape's child profile: present edges, per-node
+    (internal child, leaf) counts and per-node split counts.  Ranks follow
+    one fixed order: the collapses by ascending edge, then the refinements
+    by node, split size, moved-leaf count, and lexicographic position of
+    the moved subset of internal children.
+    """
+
+    __slots__ = ("shape", "edges", "profile", "splits", "degree")
+
+    def __init__(self, shape: TreeShape):
+        self.shape = shape
+        self.edges = present_edges(shape)
+        self.profile = shape.children_counts()
+        self.splits = list(map(_memo_split_count, self.profile))
+        self.degree = len(self.edges) + sum(self.splits)
+
+    def neighbor(self, rank: int) -> TreeShape:
+        """The ``rank``-th neighbor (0-based) in the order above."""
+        if not 0 <= rank < self.degree:
+            raise ValueError(f"rank must be in [0, {self.degree}), got {rank}")
+        if rank < len(self.edges):
+            return collapse_edge(self.shape, self.edges[rank])
+        rank -= len(self.edges)
+        for node, w in enumerate(self.splits, start=1):
+            if rank >= w:
+                rank -= w
+                continue
+            ki, li = self.profile[node - 1]
+            for s in range(2, ki + li):
+                for j in range(max(0, s - ki), min(s, li) + 1):
+                    cell = math.comb(ki, s - j)
+                    if rank < cell:
+                        children = [c for c, p in enumerate(self.shape.t, 1) if p == node]
+                        moved = _unrank_combination(children, s - j, rank)
+                        return refine_node(self.shape, node, moved, j)
+                    rank -= cell
+        raise AssertionError("unreachable: rank exceeded enumerated neighbors")
 
 
 def refinements_below(shape: TreeShape) -> set[TreeShape]:
-    """All shapes that this shape covers (one more internal node).
-
-    Every refinement splits exactly one node; per node the splits are
-    indexed by a subset of its (rank-distinguishable) internal children
-    and a count of its (indistinguishable) leaves.
-    """
-    out: set[TreeShape] = set()
-    children = _children_ranks(shape)
-    for i, (ki, li) in enumerate(shape.children_counts(), start=1):
-        for s in range(2, ki + li):
-            for j in range(max(0, s - ki), min(s, li) + 1):
-                for moved in itertools.combinations(children[i - 1], s - j):
-                    out.add(refine_node(shape, i, moved, j))
-    return out
+    """All shapes that this shape covers (one more internal node): the
+    refinement ranks of its :class:`Neighborhood`."""
+    nbhd = Neighborhood(shape)
+    return {nbhd.neighbor(r) for r in range(len(nbhd.edges), nbhd.degree)}
 
 
 def deg_plus(shape: TreeShape) -> int:
@@ -135,11 +178,11 @@ def deg_plus(shape: TreeShape) -> int:
 
 def deg_minus(shape: TreeShape) -> int:
     """Number of one-step refinements, by the per-node split formula."""
-    return sum(split_count(k, l) for k, l in shape.children_counts())
+    return sum(Neighborhood(shape).splits)
 
 
 def degree(shape: TreeShape) -> int:
-    return deg_plus(shape) + deg_minus(shape)
+    return Neighborhood(shape).degree
 
 
 def max_degree_tree(n: int) -> tuple[TreeShape, int]:
@@ -156,6 +199,7 @@ def max_degree_tree(n: int) -> tuple[TreeShape, int]:
     return shape, 1 + deg_minus(shape)
 
 
+@functools.cache
 def max_degree(n: int) -> int:
     return max_degree_tree(n)[1]
 
@@ -215,7 +259,8 @@ def lub_fmatrix(fx: np.ndarray, fy: np.ndarray, trace: list | None = None) -> np
         s = _delete(s, bad)
         if trace is not None:
             trace.append(s.copy())
-    assert validate_fmatrix(s) is None
+    if (bad := validate_fmatrix(s)) is not None:
+        raise InvalidShapeError(bad, "column deletion ended at an invalid F-matrix")
     return s
 
 

@@ -251,6 +251,16 @@ class TreeShape:
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "sort_index", (len(t), t, l))
 
+    @classmethod
+    def _trusted(cls, t: tuple[int, ...], l: tuple[int, ...]) -> "TreeShape":
+        """Skip validation: only for int tuples that a collapse or a node
+        split of a valid shape produced, valid by construction."""
+        shape = object.__new__(cls)
+        object.__setattr__(shape, "t", t)
+        object.__setattr__(shape, "l", l)
+        object.__setattr__(shape, "sort_index", (len(t), t, l))
+        return shape
+
     @property
     def n_tips(self) -> int:
         return sum(self.l)
@@ -350,12 +360,9 @@ def collapse_edge(shape: TreeShape, e: int) -> TreeShape:
     _require_edge(k, e)
     if t[e] != e:
         raise EdgeNotPresentError(f"edge ({e}, {e + 1}) not present")
-    new_t = list(t[:e])
-    for i in range(e, k - 1):
-        v = t[i + 1]
-        new_t.append(v - 1 if v > e else v)
-    new_l = list(l[: e - 1]) + [l[e - 1] + l[e]] + list(l[e + 1 :])
-    return TreeShape(new_t, new_l)
+    new_t = t[:e] + tuple(v - 1 if v > e else v for v in t[e + 1 :])
+    new_l = l[: e - 1] + (l[e - 1] + l[e],) + l[e + 1 :]
+    return TreeShape._trusted(new_t, new_l)
 
 
 def collapse_edge_fmatrix(f, e: int) -> np.ndarray:

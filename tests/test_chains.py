@@ -1,11 +1,15 @@
 """Markov kernels, samplers, and exact small-space diagnostics."""
 
+import hashlib
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtshapes import (
     ChainSpec,
@@ -20,22 +24,62 @@ from mtshapes import (
     generate_all,
     max_degree,
     mixing_bounds,
+    present_edges,
+    refine_node,
     refinements_below,
     run_chains,
     semi_random_fmatrix,
     semi_random_init,
+    split_count,
     stationary_distribution,
     step_mh_uniform,
     step_random_walk,
     step_symmetric,
     uniform_neighbor,
     validate_fmatrix,
+    validate_string,
 )
 from mtshapes.chains import neighbor_by_rank, random_below
+from mtshapes.lattice import Neighborhood
 
 
 def rng_from(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def reference_refinements(shape):
+    """Every refinement, enumerated node by node with itertools (the
+    construction the neighborhood ranks must reproduce)."""
+    children = [[] for _ in shape.t]
+    for c, p in enumerate(shape.t[1:], start=2):
+        children[p - 1].append(c)
+    out = set()
+    for i, (ki, li) in enumerate(shape.children_counts(), start=1):
+        for s in range(2, ki + li):
+            for j in range(max(0, s - ki), min(s, li) + 1):
+                for moved in itertools.combinations(children[i - 1], s - j):
+                    out.add(refine_node(shape, i, moved, j))
+    return out
+
+
+def scratch_degree(shape):
+    """deg_plus + deg_minus straight from the definitions."""
+    t = shape.t
+    plus = sum(1 for e in range(1, len(t)) if t[e] == e)
+    return plus + sum(split_count(k, l) for k, l in shape.children_counts())
+
+
+def reference_random_below(rng, n):
+    """The multi-word draw for every n, one array call per attempt."""
+    bits = n.bit_length()
+    words = (bits + 31) // 32
+    while True:
+        r = 0
+        for w in rng.integers(0, 1 << 32, size=words, dtype=np.uint64):
+            r = (r << 32) | int(w)
+        r >>= words * 32 - bits
+        if r < n:
+            return r
 
 
 class TestRandomBelow:
@@ -61,12 +105,22 @@ class TestRandomBelow:
         with pytest.raises(ValueError):
             random_below(rng_from(0), 0)
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 1525, 2**31, 2**32 - 1, 2**32, 2**40 + 3])
+    def test_same_stream_as_array_draws(self, n):
+        a, b = rng_from(n), rng_from(n)
+        assert [random_below(a, n) for _ in range(200)] == [
+            reference_random_below(b, n) for _ in range(200)
+        ]
+        assert a.random() == b.random()
+
 
 class TestNeighborEnumeration:
-    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_ranks_cover_all_neighbors_once(self, n):
         for s in generate_all(n):
-            expect = covers(s) | refinements_below(s)
+            refs = reference_refinements(s)
+            assert refinements_below(s) == refs
+            expect = covers(s) | refs
             got = [
                 neighbor_by_rank(s, r)
                 for r in range(deg_plus(s) + deg_minus(s))
@@ -84,6 +138,95 @@ class TestNeighborEnumeration:
         nbr, deg = uniform_neighbor(rng_from(1), s)
         assert deg == 3
         assert nbr in covers(s) | refinements_below(s)
+
+
+@st.composite
+def walked_shapes(draw):
+    """A semi-random shape at N = 4..50 moved by a few random-walk steps,
+    with the generator that drew it."""
+    n = draw(st.integers(4, 50))
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    state = ChainState(semi_random_init(n, draw(st.integers(1, n - 1)), rng))
+    for _ in range(draw(st.integers(0, 6))):
+        step_random_walk(state, rng)
+    return state.shape, rng
+
+
+def probe_ranks(nbhd, rng):
+    """Every rank of a small neighborhood; else every collapse, the first
+    and last split of each node, and 32 uniform ranks."""
+    if nbhd.degree <= 64:
+        return range(nbhd.degree)
+    ranks = set(range(len(nbhd.edges)))
+    start = len(nbhd.edges)
+    for w in nbhd.splits:
+        if w:
+            ranks |= {start, start + w - 1}
+        start += w
+    ranks |= {random_below(rng, nbhd.degree) for _ in range(32)}
+    return sorted(ranks)
+
+
+class TestNeighborhoodProperties:
+    @settings(deadline=None, derandomize=True)
+    @given(walked_shapes())
+    def test_neighbors_are_valid_and_adjacent(self, drawn):
+        shape, rng = drawn
+        n, k = shape.n_tips, shape.n_internal
+        nbhd = Neighborhood(shape)
+        assert nbhd.edges == present_edges(shape)
+        for r in probe_ranks(nbhd, rng):
+            nbr = nbhd.neighbor(r)
+            assert all(type(x) is int for x in nbr.t + nbr.l)
+            assert validate_string(nbr.t, nbr.l, n) is None
+            if r < len(nbhd.edges):
+                assert nbr.n_internal == k - 1 and nbr in covers(shape)
+            else:
+                assert nbr.n_internal == k + 1 and shape in covers(nbr)
+
+    @settings(deadline=None, derandomize=True)
+    @given(walked_shapes())
+    def test_degree_matches_definitions(self, drawn):
+        shape, _ = drawn
+        assert Neighborhood(shape).degree == scratch_degree(shape)
+        assert deg_plus(shape) + deg_minus(shape) == scratch_degree(shape)
+
+    @settings(deadline=None, derandomize=True)
+    @given(walked_shapes())
+    def test_mh_cached_degree_stays_fresh(self, drawn):
+        shape, rng = drawn
+        state = ChainState(shape)
+        for _ in range(20):
+            step_mh_uniform(state, rng)
+            assert state.cached.shape is state.shape
+            assert state.cached.degree == scratch_degree(state.shape)
+
+
+# sha256 over each chain's to_text lines joined by newlines, each chain
+# followed by "\n--\n", then repr(acceptance_rates), for
+# run_chains(n, sampler, n_chains=3, n_steps=400, seed=2506).  Any change
+# here alters the seeded stream and belongs in CHANGES.md.
+GOLDEN_STREAMS = {
+    ("mh-uniform", 5): "90410b1fd694f7154621154840add3f6eddc2549de4a104c8eaf7b5f8412ef1e",
+    ("mh-uniform", 20): "31fb7e0bd39ad2f1fd53b09f559f4d8c9af88c44604494bad56f09af5278cb8f",
+    ("mh-uniform", 100): "abaef226a883627c77c45433952b2308d8a7bce64eca0b7d86277eb30dbeae94",
+    ("symmetric", 5): "9a732f2ae5c44e8d547ffcee428d993e77369f6743905685cd793b14c4bb081e",
+    ("symmetric", 20): "7a0803d48199ecc182b57d0a0670c5b46bbf6df0d8bc13de1512e400972318e1",
+    ("symmetric", 100): "157f7cc279e9a745abfb78482d9b259bc59ab40010b55a43114f24c517a1eaa7",
+    ("random-walk", 5): "5ef4cf950f0d3b1770d2efaccedf30e9c40e3530cab4fabcdaab6286699f7c28",
+    ("random-walk", 20): "3a9735011ef2054d0c4b715575ada8e7c045f219aa97cc4076bddf7219dac34a",
+    ("random-walk", 100): "f48949e30e3947aaf24f924944c1a3dca220def7321b70d342423c34491385e6",
+}
+
+
+@pytest.mark.parametrize("sampler, n", list(GOLDEN_STREAMS))
+def test_seeded_stream_is_pinned(sampler, n):
+    r = run_chains(n, sampler, n_chains=3, n_steps=400, seed=2506)
+    h = hashlib.sha256()
+    for chain in r.samples:
+        h.update(("\n".join(s.to_text() for s in chain) + "\n--\n").encode())
+    h.update(repr(r.acceptance_rates).encode())
+    assert h.hexdigest() == GOLDEN_STREAMS[sampler, n]
 
 
 class TestSteps:

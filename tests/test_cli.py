@@ -202,6 +202,22 @@ class TestStats:
         _, out, _ = run_cli(capsys, "stats", "--in", str(src), "--json")
         assert json.loads(out)["median_k"] == 1
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("0,1|2", "line 3: t and l must have equal length, got 2 and 1"),
+            ("0|1", "line 3: S3: "),
+            ("0|x", "line 3: expected an integer"),
+            ('{"t": [0]}', "line 3: expected an object"),
+        ],
+    )
+    def test_bad_line_is_named(self, capsys, tmp_path, bad, message):
+        src = tmp_path / "shapes.txt"
+        src.write_text(f"0|4\n\n{bad}\n0|4\n")
+        code, out, err = run_cli(capsys, "stats", "--in", str(src))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}")
+
     def test_empty_input(self, capsys, tmp_path):
         src = tmp_path / "empty.txt"
         src.write_text("\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mtshapes import (
+    InvalidShapeError,
     TreeShape,
     covers,
     deg_minus,
@@ -23,6 +24,7 @@ from mtshapes import (
     refinements_below,
     split_count,
 )
+from mtshapes import lattice
 from test_shapes import FX, FY
 
 STAR7 = TreeShape((0,), (7,))
@@ -181,6 +183,13 @@ class TestRefineNode:
 
 
 class TestLub:
+    def test_invalid_end_state_raises(self, monkeypatch):
+        # a real error, not an assert, so it also fires under python -O
+        monkeypatch.setattr(lattice, "_violating_columns", lambda m: [])
+        with pytest.raises(InvalidShapeError) as exc:
+            lub_fmatrix(FX, FY)
+        assert exc.value.constraint == "F1"
+
     def test_worked_example_trace(self):
         trace = []
         result = lub_fmatrix(FX, FY, trace=trace)

@@ -14,7 +14,10 @@ independent of the topology anyway.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate
 from math import exp, lgamma
 
 import numpy as np
@@ -96,20 +99,11 @@ def merger_distribution(n_lineages: int, measure: BetaMeasure) -> np.ndarray:
     return w / w.sum()
 
 
-def _shape_from_merger_events(events: list[list[int]]) -> TreeShape:
-    # events[m] lists the lineages merged at backward event m+1; a lineage
-    # is 0 for an original tip or the 1-based id of an earlier event.
-    # Ranks run root-down, so backward event m has rank K - m + 1.
-    k = len(events)
-    t = [0] * k
-    l = [0] * k
-    for event_id, merged in enumerate(events, start=1):
-        rank = k - event_id + 1
-        l[rank - 1] = sum(1 for x in merged if x == 0)
-        for x in merged:
-            if x != 0:
-                t[k - x] = rank  # child rank (k - x + 1), 0-based index k - x
-    return TreeShape(t, l)
+@cache
+def _cumulative_weights(n_lineages: int, measure: BetaMeasure) -> list[float]:
+    """Running sums of ``merger_distribution`` as a plain list, for
+    drawing the merger size with one uniform and a bisection."""
+    return list(accumulate(merger_distribution(n_lineages, measure).tolist()))
 
 
 def sample_topology(
@@ -122,21 +116,51 @@ def sample_topology(
 def sample_topologies(
     n: int, measure: BetaMeasure, count: int, rng: np.random.Generator
 ) -> list[TreeShape]:
-    """Draw ``count`` independent shapes, reusing per-b merger laws."""
+    """Draw ``count`` independent shapes, reusing per-b merger laws.
+
+    Each draw reads one block of 3n uniforms: an event with b lineages
+    takes one for the merger size k and k for the merged lineages, and
+    the K events of a draw use at most (n - 1) + 2K <= 3n - 3 of them.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    dists = {b: merger_distribution(b, measure) for b in range(2, n + 1)}
+    cums = [None, None] + [_cumulative_weights(b, measure) for b in range(2, n + 1)]
     out = []
     for _ in range(count):
+        u = rng.random(3 * n).tolist()
+        pos = 0
+        # a lineage is 0 for an original tip or the 1-based id of the
+        # event that formed it
         lineages = [0] * n
-        events: list[list[int]] = []
-        while len(lineages) > 1:
-            b = len(lineages)
-            k = 2 if b == 2 else int(rng.choice(b - 1, p=dists[b])) + 2
-            chosen = sorted(rng.choice(b, size=k, replace=False), reverse=True)
-            events.append([lineages.pop(i) for i in chosen])
-            lineages.append(len(events))
-        out.append(_shape_from_merger_events(events))
+        up: list[int] = []  # up[e - 1]: the event that merged event e's lineage
+        tips: list[int] = []  # tips[e - 1]: original tips merged at event e
+        b = n
+        while b > 1:
+            cum = cums[b]
+            k = bisect_right(cum, u[pos] * cum[-1]) + 2
+            pos += 1
+            event = len(up) + 1
+            leaves = 0
+            # partial Fisher-Yates: pick uniformly among the first m
+            # lineages, then move the last of them into the hole
+            for m in range(b, b - k, -1):
+                i = int(u[pos] * m)
+                pos += 1
+                x = lineages[i]
+                lineages[i] = lineages[m - 1]
+                if x:
+                    up[x - 1] = event
+                else:
+                    leaves += 1
+            del lineages[b - k + 1 :]
+            lineages[b - k] = event
+            up.append(0)
+            tips.append(leaves)
+            b -= k - 1
+        # backward event e is the node of rank K - e + 1 (ranks root-down)
+        k_nodes = len(up)
+        t = [k_nodes + 1 - e if e else 0 for e in reversed(up)]
+        out.append(TreeShape(t, tips[::-1]))
     return out

@@ -19,6 +19,7 @@ encodings, and text/JSON serialization.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from operator import index as _as_int
 
@@ -64,9 +65,19 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+class _IntVector(tuple):
+    """A tuple of exact ints that ``_check_vectors`` (or the text parser)
+    already produced; handing one back skips the per-element conversion,
+    so a vector is normalised once per construction."""
+
+    __slots__ = ()
+
+
 def _check_vectors(t, l):
-    t = tuple(_as_int(x) for x in t)
-    l = tuple(_as_int(x) for x in l)
+    if type(t) is not _IntVector:
+        t = _IntVector(map(_as_int, t))
+    if type(l) is not _IntVector:
+        l = _IntVector(map(_as_int, l))
     if len(t) != len(l):
         raise ValueError(
             f"t and l must have equal length, got {len(t)} and {len(l)}"
@@ -245,6 +256,7 @@ class TreeShape:
     def __init__(self, t, l):
         t, l = _check_vectors(t, l)
         bad = validate_string(t, l)
+        t, l = tuple(t), tuple(l)
         if bad is not None:
             raise InvalidShapeError(bad, f"t={t}, l={l}")
         object.__setattr__(self, "t", t)
@@ -314,7 +326,15 @@ class TreeShape:
         return self.to_text()
 
 
-def _parse_int_list(text: str, base: int) -> list[int]:
+_INT_LIST = re.compile(r"-?\d+(?:,-?\d+)*")
+
+
+def _parse_int_list(text: str, base: int) -> _IntVector:
+    if _INT_LIST.fullmatch(text):
+        return _IntVector(map(int, text.split(",")))
+    # Text the pattern rejects is scanned token by token, which raises
+    # the ParseError for the first bad token (str.isdigit passes more
+    # than \d does; int() then raises on those tokens).
     out = []
     pos = 0
     for tok in text.split(","):
@@ -322,7 +342,7 @@ def _parse_int_list(text: str, base: int) -> list[int]:
             raise ParseError(f"expected an integer, got {tok!r}", base + pos)
         out.append(int(tok))
         pos += len(tok) + 1
-    return out
+    return _IntVector(out)
 
 
 def _parse_text(text: str):

@@ -1,7 +1,10 @@
 """Beta-measure merger rates, size distributions, and the topology sampler."""
 
+import hashlib
 import math
 from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -11,6 +14,7 @@ from mtshapes import (
     UNIFORM_MEASURE,
     BetaMeasure,
     TreeShape,
+    generate_all,
     merger_distribution,
     merger_rate,
     sample_topologies,
@@ -38,6 +42,69 @@ def rate_by_quadrature(b, k, measure):
             lambda x: x ** (a - 1) * (1 - x) ** (bb - 1), [0, 1]
         )
         return float(kernel / norm)
+
+
+# merger-size laws give P(k=2)=2/3, P(3)=2/9, P(4)=1/9 at b=4 and
+# P(k=2)=3/4 at b=3; with uniform subsets the four-tip shape law follows:
+FOUR_TIP_LAW = {
+    "0|4": Fraction(1, 9),
+    "0,1|1,3": Fraction(2, 9),
+    "0,1|2,2": Fraction(1, 6),
+    "0,1,1|0,2,2": Fraction(1, 6),
+    "0,1,2|1,1,2": Fraction(1, 3),
+}
+
+
+def uniform_merger_size(b, k):
+    """P(next merger has size k | b lineages) under Beta(1, 1), exactly.
+
+    The k-mergers' total rate is C(b, k) (k-2)! (b-k)! / (b-1)!
+    = b / (k (k-1)); over k = 2..b these sum to b - 1."""
+    return Fraction(b, (b - 1) * k * (k - 1))
+
+
+def exact_shape_law(n):
+    """Exact Beta(1, 1) law of the ranked shape with ``n`` tips.
+
+    Recursion over merger events: each event picks its size k with
+    ``uniform_merger_size`` and a uniform k-subset of the extant
+    lineages.  Original tips are exchangeable, so a subset is the number
+    j of tips it takes plus the set S of earlier events' lineages, and
+    C(tips, j) of the C(b, k) subsets give that pair.  Backward event e
+    of K is the node of rank K - e + 1.
+    """
+    law = Counter()
+
+    def finish(events, p):
+        k = len(events)
+        t, l = [0] * k, [0] * k
+        for e, (j, merged) in enumerate(events, start=1):
+            l[k - e] = j
+            for child in merged:
+                t[k - child] = k - e + 1
+        law[TreeShape(t, l)] += p
+
+    def walk(tips, extant, events, p):
+        b = tips + len(extant)
+        if b == 1:
+            finish(events, p)
+            return
+        event = len(events) + 1
+        for k in range(2, b + 1):
+            pk = uniform_merger_size(b, k) / math.comb(b, k)
+            for r in range(max(0, k - tips), min(k, len(extant)) + 1):
+                j = k - r
+                for merged in combinations(extant, r):
+                    rest = tuple(x for x in extant if x not in merged)
+                    walk(
+                        tips - j,
+                        rest + (event,),
+                        events + [(j, merged)],
+                        p * pk * math.comb(tips, j),
+                    )
+
+    walk(n, (), [], Fraction(1))
+    return dict(law)
 
 
 class TestBetaMeasure:
@@ -122,6 +189,27 @@ class TestMergerDistribution:
         assert (np.abs(counts / 1_000_000 - d) <= 3 * se + 1e-9).all()
 
 
+class TestExactShapeLaw:
+    def test_merger_sizes_match_merger_distribution(self):
+        for b in range(2, 7):
+            exact = [uniform_merger_size(b, k) for k in range(2, b + 1)]
+            assert sum(exact) == 1
+            assert merger_distribution(b, UNIFORM_MEASURE) == pytest.approx(
+                [float(p) for p in exact], rel=1e-12
+            )
+
+    def test_four_tips_match_hand_derivation(self):
+        law = {s.to_text(): p for s, p in exact_shape_law(4).items()}
+        assert law == FOUR_TIP_LAW
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_is_a_law_on_every_shape(self, n):
+        law = exact_shape_law(n)
+        assert sum(law.values()) == 1
+        assert all(p > 0 for p in law.values())
+        assert set(law) == set(generate_all(n))
+
+
 class TestSampleTopology:
     def test_two_tips(self):
         rng = rng_from(0)
@@ -135,16 +223,25 @@ class TestSampleTopology:
         # star requires a first (and only) triple merger: probability 1/4
         assert stars / 40_000 == pytest.approx(0.25, abs=0.009)
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_matches_exact_law_in_total_variation(self, n):
+        law = exact_shape_law(n)
+        draws = 100_000
+        counts = Counter(
+            sample_topologies(n, UNIFORM_MEASURE, draws, rng_from(2026))
+        )
+        assert set(counts) <= set(law)
+        tv = sum(abs(counts[s] / draws - float(p)) for s, p in law.items()) / 2
+        # Bretagnolle-Huber-Carol: P(TV >= eps) <= 2^S exp(-2 D eps^2)
+        # over a support of S shapes and D draws.  S = 15 (N = 5) and
+        # 54 (N = 6); at D = 1e5 and a 1e-6 failure chance,
+        # eps = sqrt((S ln 2 + ln 1e6) / (2 D)) = 0.0110 and 0.0160.
+        # E[TV] <= sqrt(S / D) / 2 = 0.0061 and 0.0116 (Cauchy-Schwarz).
+        eps = math.sqrt((len(law) * math.log(2) + math.log(1e6)) / (2 * draws))
+        assert tv < eps
+
     def test_four_tip_distribution(self):
-        # merger-size laws give P(k=2)=2/3, P(3)=2/9, P(4)=1/9 at b=4 and
-        # P(k=2)=3/4 at b=3; with uniform subsets the shape law follows:
-        expected = {
-            "0|4": 1 / 9,
-            "0,1|1,3": 2 / 9,
-            "0,1|2,2": 1 / 6,
-            "0,1,1|0,2,2": 1 / 6,
-            "0,1,2|1,1,2": 1 / 3,
-        }
+        expected = FOUR_TIP_LAW
         rng = rng_from(9)
         n = 60_000
         counts = Counter(
@@ -152,6 +249,7 @@ class TestSampleTopology:
         )
         assert set(counts) == set(expected)
         for text, p in expected.items():
+            p = float(p)
             se = math.sqrt(p * (1 - p) / n)
             assert abs(counts[text] / n - p) < 4 * se, text
 
@@ -181,6 +279,14 @@ class TestSampleTopology:
             sizes = [k + l for k, l in s.children_counts()]
             assert sum(x - 1 for x in sizes) == 14
 
+    def test_split_calls_continue_the_stream(self):
+        for measure in (UNIFORM_MEASURE, BetaMeasure(0.7, 1.3)):
+            whole = sample_topologies(12, measure, 70, rng_from(31))
+            rng = rng_from(31)
+            parts = sample_topologies(12, measure, 25, rng)
+            parts += sample_topologies(12, measure, 45, rng)
+            assert parts == whole
+
     def test_deterministic(self):
         a = sample_topologies(10, UNIFORM_MEASURE, 50, rng_from(77))
         b = sample_topologies(10, UNIFORM_MEASURE, 50, rng_from(77))
@@ -191,3 +297,27 @@ class TestSampleTopology:
             sample_topology(1, UNIFORM_MEASURE, rng_from(0))
         with pytest.raises(ValueError):
             sample_topologies(5, UNIFORM_MEASURE, 0, rng_from(0))
+
+
+# sha256 of the "\n"-joined to_text lines of
+# sample_topologies(n, measure, 200, PCG64(2506)).  Any change here alters
+# the seeded stream and belongs in CHANGES.md.  At n = 2 every draw is
+# "0|2", so those two pin only that the sampler still runs.
+GOLDEN_STREAMS = {
+    ("beta(1,1)", 2): "a59f963d7e2ea835012fbeb9de0b4c4a75736545d909a4e31893d6b680787b91",
+    ("beta(1,1)", 5): "6ad22b6dff03a3b9f3a21454bd3f14de8d903de4b2cb7a399baa266666ec5d5b",
+    ("beta(1,1)", 20): "fd084be1eacf481fccfd4f5a5d2a5eaa513cf942e88a97d1dcacd793ea1c1be8",
+    ("beta(1,1)", 100): "69baeb097b20b2548442da5ea19b4ae8eeabd274da33a804d39885e094891736",
+    ("beta(0.7,1.3)", 2): "a59f963d7e2ea835012fbeb9de0b4c4a75736545d909a4e31893d6b680787b91",
+    ("beta(0.7,1.3)", 5): "26f1cca1d81d16904a3c52668b0e756335c5d2cd7b1f8a8cb97aca5f0c6fd006",
+    ("beta(0.7,1.3)", 20): "ba9bc5be872e8fefc9b5a9e1306a4ae50343dd9c78b9fe95102096c329c974aa",
+    ("beta(0.7,1.3)", 100): "351985eee36ad9fbd1563a1a219219aaf9cd37b5f39ca12f2f54e466364c7d78",
+}
+MEASURES = {"beta(1,1)": UNIFORM_MEASURE, "beta(0.7,1.3)": BetaMeasure(0.7, 1.3)}
+
+
+@pytest.mark.parametrize("measure, n", list(GOLDEN_STREAMS))
+def test_seeded_stream_is_pinned(measure, n):
+    shapes = sample_topologies(n, MEASURES[measure], 200, rng_from(2506))
+    text = "\n".join(s.to_text() for s in shapes)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_STREAMS[measure, n]

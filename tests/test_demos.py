@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# 05_sampling.py runs about 20 s of sampling and is left out.
-DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+# 05_sampling.py, the slowest, runs about 6 s of sampling.
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
 
 
 def test_demo_set():
-    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04"]
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

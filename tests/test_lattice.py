@@ -1,6 +1,7 @@
 """Refinement order: edges, degrees, least upper bounds, Hasse graphs."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -268,6 +269,25 @@ class TestLatticeDistance:
                     continue
                 ka, kb = a.n_internal, b.n_internal
                 assert abs(ka - kb) <= lattice_distance(a, b) <= ka + kb - 2
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_equals_hasse_bfs_distance(self, n, hasse):
+        # every pair, against breadth-first search over the covering
+        # graph; N = 7 (25878 pairs) is left out for its run time
+        g = hasse[n]
+        for start in range(g.n_vertices):
+            dist = {start: 0}
+            queue = deque([start])
+            while queue:
+                v = queue.popleft()
+                for w in g.neighbors(v):
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        queue.append(w)
+            for other in range(start + 1, g.n_vertices):
+                assert lattice_distance(
+                    g.vertices[start], g.vertices[other]
+                ) == dist[other]
 
 
 class TestHasse:

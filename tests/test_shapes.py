@@ -21,6 +21,7 @@ from mtshapes import (
     validate_fmatrix,
     validate_string,
 )
+from mtshapes import shapes as shapes_module
 
 # 7x7 binary pair used in the worked least-upper-bound example.
 FX = np.array(
@@ -277,6 +278,39 @@ class TestSerialization:
             TreeShape.from_text("0,1|2,1")
         assert err.value.constraint == "S3"
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.text(alphabet="0123-,|x \u00b2\u0663", max_size=12))
+    def test_parser_matches_token_loop(self, text):
+        # the per-token scan the one-pattern parser must agree with, on
+        # the values it returns and on every error's type and message
+        def reference(text):
+            if text.count("|") != 1:
+                bad = text.find("|", text.find("|") + 1)
+                raise ParseError(
+                    "expected exactly one '|' separator",
+                    bad if bad >= 0 else len(text),
+                )
+            left, right = text.split("|")
+            sides = []
+            for side, base in ((left, 0), (right, len(left) + 1)):
+                out, pos = [], 0
+                for tok in side.split(","):
+                    if not tok or not tok.lstrip("-").isdigit() or tok.startswith("--"):
+                        raise ParseError(f"expected an integer, got {tok!r}", base + pos)
+                    out.append(int(tok))
+                    pos += len(tok) + 1
+                sides.append(tuple(out))
+            return tuple(sides)
+
+        def outcome(parse):
+            try:
+                return parse(text)
+            except ValueError as e:
+                return type(e), str(e), getattr(e, "offset", None)
+
+        got = outcome(lambda x: tuple(map(tuple, shapes_module._parse_text(x))))
+        assert got == outcome(reference)
+
 
 class TestTreeShape:
     def test_equality_and_hash(self):
@@ -305,6 +339,26 @@ class TestTreeShape:
         arr = np.array([0, 1], dtype=np.int32)
         s = TreeShape(arr, np.array([2, 2], dtype=np.int64))
         assert s == TreeShape((0, 1), (2, 2))
+        assert type(s.t) is tuple and type(s.t[1]) is int
+
+    def test_normalised_and_validated_once(self, monkeypatch):
+        calls = {"int": 0, "validate": 0}
+        as_int, validate = shapes_module._as_int, shapes_module.validate_string
+
+        def counting_as_int(x):
+            calls["int"] += 1
+            return as_int(x)
+
+        def counting_validate(*args):
+            calls["validate"] += 1
+            return validate(*args)
+
+        monkeypatch.setattr(shapes_module, "_as_int", counting_as_int)
+        monkeypatch.setattr(shapes_module, "validate_string", counting_validate)
+        TreeShape([0, 1, 1], [0, 2, 2])
+        assert calls == {"int": 6, "validate": 1}
+        TreeShape.from_text("0,1,1|0,2,2")  # int() already normalised it
+        assert calls == {"int": 6, "validate": 2}
 
 
 @settings(max_examples=60, deadline=None)

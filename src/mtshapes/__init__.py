@@ -54,7 +54,6 @@ from .lattice import (
 from .chains import (
     BottleneckResult,
     BoundReport,
-    ChainSpec,
     ChainState,
     GapResult,
     RunResult,

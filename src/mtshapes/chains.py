@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -32,14 +32,12 @@ from .lattice import (
 from .shapes import TreeShape
 
 __all__ = [
-    "ChainSpec",
     "ChainState",
     "RunResult",
     "BottleneckResult",
     "GapResult",
     "BoundReport",
     "random_below",
-    "neighbor_by_rank",
     "uniform_neighbor",
     "step_symmetric",
     "step_random_walk",
@@ -56,18 +54,12 @@ __all__ = [
 
 KINDS = ("symmetric", "random-walk")
 
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """A kernel on the lattice: which rule, whether lazy, which N."""
-
-    kind: str
-    n: int
-    lazy: bool = False
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+# The exact paths hold dense V x V float64 kernels and run an O(V^3)
+# eigensolve.  N = 8 (1108 shapes, 9.8 MB) fits; N = 9 (6092 shapes,
+# 297 MB before the eigensolve's own copies) does not.
+MAX_KERNEL_BYTES = 64 * 10**6
+# exact_bottleneck enumerates all 2^V subsets.
+MAX_BOTTLENECK_VERTICES = 20
 
 
 @dataclass
@@ -110,32 +102,18 @@ def random_below(rng: np.random.Generator, n: int) -> int:
             return r
 
 
-def neighbor_by_rank(shape: TreeShape, rank: int) -> TreeShape:
-    """The ``rank``-th neighbor (0-based) in :class:`~mtshapes.lattice.Neighborhood` order."""
-    return Neighborhood(shape).neighbor(rank)
-
-
-def uniform_neighbor(
-    rng: np.random.Generator, shape: TreeShape, nbhd: Neighborhood | None = None
-) -> tuple[TreeShape, int]:
-    """A uniformly chosen neighbor and the degree of ``shape``; ``nbhd``,
-    if given, is ``shape``'s already built neighborhood."""
-    if nbhd is None:
-        nbhd = Neighborhood(shape)
+def uniform_neighbor(rng: np.random.Generator, nbhd: Neighborhood) -> TreeShape:
+    """A uniformly chosen neighbor of ``nbhd.shape``."""
     if nbhd.degree == 0:
         raise ValueError("shape has no neighbors (single-shape space)")
-    return nbhd.neighbor(random_below(rng, nbhd.degree)), nbhd.degree
+    return nbhd.neighbor(random_below(rng, nbhd.degree))
 
 
-def step_symmetric(
-    state: ChainState, rng: np.random.Generator, m_n: int | None = None
-) -> ChainState:
+def step_symmetric(state: ChainState, rng: np.random.Generator) -> ChainState:
     """One step of the symmetric chain: each neighbor with probability
     1/M_N, else hold (self-loop mass 1 - deg/M_N)."""
-    if m_n is None:
-        m_n = max_degree(state.shape.n_tips)
     nbhd = state.neighborhood()
-    r = random_below(rng, m_n)
+    r = random_below(rng, max_degree(state.shape.n_tips))
     if r < nbhd.degree:
         state.shape = nbhd.neighbor(r)
     state.step += 1
@@ -145,7 +123,7 @@ def step_symmetric(
 def step_random_walk(state: ChainState, rng: np.random.Generator) -> ChainState:
     """One step of the simple random walk: a uniform neighbor, never a
     self-loop (reflects at binary shapes and at the star)."""
-    state.shape, _ = uniform_neighbor(rng, state.shape, state.neighborhood())
+    state.shape = uniform_neighbor(rng, state.neighborhood())
     state.step += 1
     return state
 
@@ -153,7 +131,9 @@ def step_random_walk(state: ChainState, rng: np.random.Generator) -> ChainState:
 def step_mh_uniform(state: ChainState, rng: np.random.Generator) -> ChainState:
     """One Metropolis-Hastings step targeting the uniform distribution,
     with the random walk as proposal: accept with min(1, deg/deg')."""
-    proposal, deg = uniform_neighbor(rng, state.shape, state.neighborhood())
+    here = state.neighborhood()
+    proposal = uniform_neighbor(rng, here)
+    deg = here.degree
     there = Neighborhood(proposal)
     deg_p = there.degree
     state.proposed += 1
@@ -291,21 +271,21 @@ def run_chains(
 # -- exact small-N analysis ---------------------------------------------
 
 
-def _as_kind(kind, lazy):
-    """Accept either a kind string or a ChainSpec."""
-    if isinstance(kind, ChainSpec):
-        return kind.kind, kind.lazy or lazy
+def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    return kind, lazy
 
 
-def exact_kernel(
-    graph: LatticeGraph, kind, lazy: bool = False
-) -> np.ndarray:
+def exact_kernel(graph: LatticeGraph, kind: str, lazy: bool = False) -> np.ndarray:
     """Dense transition matrix over ``graph.vertices``."""
-    kind, lazy = _as_kind(kind, lazy)
+    _check_kind(kind)
     v = graph.n_vertices
+    size = 8 * v * v  # float64 entries
+    if size > MAX_KERNEL_BYTES:
+        raise ValueError(
+            f"dense kernel over {v} shapes needs {size / 1e6:.0f} MB; "
+            f"cap is {MAX_KERNEL_BYTES // 10**6} MB (exact analysis takes N <= 8)"
+        )
     p = np.zeros((v, v))
     if kind == "symmetric":
         m_n = max_degree(graph.n)
@@ -326,9 +306,9 @@ def exact_kernel(
     return p
 
 
-def stationary_distribution(graph: LatticeGraph, kind) -> np.ndarray:
+def stationary_distribution(graph: LatticeGraph, kind: str) -> np.ndarray:
     """Uniform for the symmetric chain; degree-proportional for the walk."""
-    kind, _ = _as_kind(kind, False)
+    _check_kind(kind)
     if kind == "symmetric":
         return np.full(graph.n_vertices, 1.0 / graph.n_vertices)
     plus, minus = graph.degrees()
@@ -345,9 +325,7 @@ class BottleneckResult:
     minimizers: list[tuple[TreeShape, ...]]
 
 
-def exact_bottleneck(
-    graph: LatticeGraph, kind, max_vertices: int = 20
-) -> BottleneckResult:
+def exact_bottleneck(graph: LatticeGraph, kind: str) -> BottleneckResult:
     """Minimize Q(S, S^c)/pi(S) over nonempty S with pi(S) <= 1/2 by
     enumerating all 2^V subsets (exact rational arithmetic).
 
@@ -355,12 +333,12 @@ def exact_bottleneck(
     over M_N * |S| for the symmetric chain, boundary edges over the total
     degree of S for the random walk.
     """
-    kind, _ = _as_kind(kind, False)
+    _check_kind(kind)
     v = graph.n_vertices
-    if v > max_vertices:
+    if v > MAX_BOTTLENECK_VERTICES:
         raise ValueError(
             f"subset enumeration over {v} vertices (2^{v} sets) refused; "
-            f"cap is {max_vertices}"
+            f"cap is {MAX_BOTTLENECK_VERTICES}"
         )
     adj = np.zeros((v, v), dtype=np.int64)
     for i in range(v):
@@ -404,13 +382,12 @@ class GapResult:
     eigenvalues: np.ndarray
 
 
-def exact_gap(graph: LatticeGraph, kind, lazy: bool = False) -> GapResult:
+def exact_gap(graph: LatticeGraph, kind: str, lazy: bool = False) -> GapResult:
     """Spectral gap via a symmetric eigensolve.
 
     The random walk is symmetrized by the similarity transform
     D^(1/2) P D^(-1/2) with D = diag(pi), which preserves the spectrum.
     """
-    kind, lazy = _as_kind(kind, lazy)
     p = exact_kernel(graph, kind, lazy=lazy)
     if kind == "random-walk":
         pi = stationary_distribution(graph, kind)
@@ -438,17 +415,9 @@ class BoundReport:
     exact: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "m_n": self.m_n,
-            "g_n": self.g_n,
-            "symmetric_lower": self.symmetric_lower,
-            "symmetric_lazy_upper": self.symmetric_lazy_upper,
-            "random_walk_lower": self.random_walk_lower,
-            "random_walk_lazy_upper": self.random_walk_lazy_upper,
-        }
-        if self.exact is not None:
-            out["exact"] = self.exact
+        out = asdict(self)
+        if out["exact"] is None:
+            del out["exact"]
         return out
 
 

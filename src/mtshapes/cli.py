@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .chains import (
+    MAX_BOTTLENECK_VERTICES,
     exact_bottleneck,
     exact_gap,
     exact_kernel,
@@ -28,10 +29,10 @@ from .chains import (
     stationary_distribution,
 )
 from .coalescent import BetaMeasure, sample_topologies
-from .enumeration import count_shapes, count_space
+from .enumeration import DEFAULT_GENERATION_CAP, count_shapes, count_space
 from .lattice import (
     build_hasse,
-    covers,
+    covers,  # noqa: F401  (kept importable: perfbench/tracing.py patches cli.covers)
     deg_minus,
     deg_plus,
     diameter,
@@ -177,9 +178,10 @@ def cmd_hasse(args) -> int:
     graph = build_hasse(args.n, cap=args.cap)
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
-        for child in graph.vertices:
-            for parent in sorted(covers(child)):
-                out.write(f"{parent.to_text()}\t{child.to_text()}\n")
+        texts = [v.to_text() for v in graph.vertices]
+        for child, ups in zip(texts, graph.up):
+            for parent in ups:
+                out.write(f"{texts[parent]}\t{child}\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -198,7 +200,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_exact(args) -> int:
     kind = {"sym": "symmetric", "rw": "random-walk"}[args.chain]
-    graph = build_hasse(args.n, cap=args.cap)
+    graph = build_hasse(args.n)
     p = exact_kernel(graph, kind)
     pi = stationary_distribution(graph, kind)
     residual = float(np.abs(pi @ p - pi).max())
@@ -214,7 +216,7 @@ def cmd_exact(args) -> int:
         "t_rel": gap.t_rel,
         "diameter": diameter(graph),
     }
-    if graph.n_vertices <= 20:
+    if graph.n_vertices <= MAX_BOTTLENECK_VERTICES:
         bottleneck = exact_bottleneck(graph, kind)
         result["phi_star"] = float(bottleneck.phi_star)
         result["phi_star_exact"] = str(bottleneck.phi_star)
@@ -356,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hasse", help="covering relations as 'parent TAB child' lines"
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=9)
+    p.add_argument("--cap", type=int, default=DEFAULT_GENERATION_CAP)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_hasse)
 
@@ -370,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--chain", choices=["sym", "rw"], required=True)
     p.add_argument("--lazy", action="store_true")
-    p.add_argument("--cap", type=int, default=9)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_exact)
 

@@ -318,16 +318,20 @@ class LatticeGraph:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.up[i] + self.down[i]
 
-    def is_connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
+    def _distances_from(self, start: int) -> dict[int, int]:
+        """BFS distance from ``start`` to every vertex it reaches."""
+        dist = {start: 0}
+        queue = deque([start])
         while queue:
             v = queue.popleft()
             for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
+                if w not in dist:
+                    dist[w] = dist[v] + 1
                     queue.append(w)
-        return len(seen) == self.n_vertices
+        return dist
+
+    def is_connected(self) -> bool:
+        return len(self._distances_from(0)) == self.n_vertices
 
 
 def build_hasse(n: int, *, cap: int = DEFAULT_GENERATION_CAP) -> LatticeGraph:
@@ -354,14 +358,7 @@ def diameter(graph: LatticeGraph) -> int:
     """Exact diameter of the undirected covering graph (all-pairs BFS)."""
     best = 0
     for start in range(graph.n_vertices):
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in graph.neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
+        dist = graph._distances_from(start)
         if len(dist) != graph.n_vertices:
             raise ValueError("graph is not connected")
         best = max(best, max(dist.values()))

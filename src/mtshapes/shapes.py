@@ -215,13 +215,12 @@ def string_to_fmatrix(t, l) -> np.ndarray:
     return np.tril(np.cumsum(d, axis=1))
 
 
-def fmatrix_to_string(f, validate=True):
+def fmatrix_to_string(f):
     """Convert an F-matrix back to the vector pair ``(t, l)``."""
     m = _as_matrix(f)
-    if validate:
-        bad = validate_fmatrix(m)
-        if bad is not None:
-            raise InvalidShapeError(bad, "input is not a valid F-matrix")
+    bad = validate_fmatrix(m)
+    if bad is not None:
+        raise InvalidShapeError(bad, "input is not a valid F-matrix")
     k = m.shape[0]
     d = np.diff(m, axis=1, prepend=0)
     if k == 1:

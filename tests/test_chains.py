@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtshapes import (
-    ChainSpec,
     ChainState,
     TreeShape,
     covers,
@@ -39,7 +38,7 @@ from mtshapes import (
     validate_fmatrix,
     validate_string,
 )
-from mtshapes.chains import neighbor_by_rank, random_below
+from mtshapes.chains import random_below
 from mtshapes.lattice import Neighborhood
 
 
@@ -122,7 +121,7 @@ class TestNeighborEnumeration:
             assert refinements_below(s) == refs
             expect = covers(s) | refs
             got = [
-                neighbor_by_rank(s, r)
+                Neighborhood(s).neighbor(r)
                 for r in range(deg_plus(s) + deg_minus(s))
             ]
             assert len(got) == len(set(got))
@@ -131,12 +130,13 @@ class TestNeighborEnumeration:
     def test_rank_out_of_range(self):
         s = TreeShape((0, 1), (2, 2))
         with pytest.raises(ValueError):
-            neighbor_by_rank(s, deg_plus(s) + deg_minus(s))
+            Neighborhood(s).neighbor(deg_plus(s) + deg_minus(s))
 
     def test_uniform_neighbor_returns_degree(self):
         s = TreeShape((0, 1), (2, 2))
-        nbr, deg = uniform_neighbor(rng_from(1), s)
-        assert deg == 3
+        nbhd = Neighborhood(s)
+        nbr = uniform_neighbor(rng_from(1), nbhd)
+        assert nbhd.degree == 3
         assert nbr in covers(s) | refinements_below(s)
 
 
@@ -233,14 +233,13 @@ class TestSteps:
     def test_symmetric_empirical_matches_kernel(self, hasse):
         g = hasse[5]
         p = exact_kernel(g, "symmetric")
-        m = max_degree(5)
         rng = rng_from(7)
         state = ChainState(g.vertices[0])
         counts = np.zeros((g.n_vertices, g.n_vertices))
         prev = 0
         steps = 200_000
         for _ in range(steps):
-            step_symmetric(state, rng, m)
+            step_symmetric(state, rng)
             cur = g.index[state.shape]
             counts[prev, cur] += 1
             prev = cur
@@ -425,20 +424,12 @@ class TestExactKernels:
         lazy = exact_kernel(g, "random-walk", lazy=True)
         assert np.allclose(lazy, (np.eye(g.n_vertices) + p) / 2)
 
-    def test_chain_spec_validation(self):
-        with pytest.raises(ValueError):
-            ChainSpec("bogus", 5)
-        assert ChainSpec("symmetric", 5).lazy is False
-
-    def test_chain_spec_accepted_everywhere(self, hasse):
-        g = hasse[4]
-        spec = ChainSpec("random-walk", 4, lazy=True)
-        p = exact_kernel(g, spec)
-        assert np.allclose(p, exact_kernel(g, "random-walk", lazy=True))
-        assert exact_gap(g, spec).gamma == exact_gap(g, "random-walk", lazy=True).gamma
-        assert exact_bottleneck(g, spec).phi_star == Fraction(1, 2)
-        pi = stationary_distribution(g, ChainSpec("symmetric", 4))
-        assert np.allclose(pi, 1 / g.n_vertices)
+    @pytest.mark.parametrize(
+        "exact", [exact_kernel, stationary_distribution, exact_bottleneck, exact_gap]
+    )
+    def test_unknown_kind_rejected(self, exact, hasse):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            exact(hasse[4], "mh-uniform")
 
 
 class TestBottleneck:

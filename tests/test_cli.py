@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from mtshapes import TreeShape, count_space
+from mtshapes import TreeShape, count_space, covers, generate_all
+from mtshapes.chains import MAX_KERNEL_BYTES
 from mtshapes.cli import main
 
 
@@ -108,6 +109,15 @@ class TestHasse:
         assert code == 0 and out == ""
         assert len(dest.read_text().strip().splitlines()) == 5
 
+    def test_lines_match_covers(self, capsys):
+        code, out, _ = run_cli(capsys, "hasse", "--n", "6")
+        expect = [
+            f"{parent.to_text()}\t{child.to_text()}"
+            for child in generate_all(6)
+            for parent in sorted(covers(child))
+        ]
+        assert code == 0 and out.splitlines() == expect
+
 
 class TestBoundsAndExact:
     def test_bounds_values(self, capsys):
@@ -124,6 +134,11 @@ class TestBoundsAndExact:
         assert data["stationarity_residual"] < 1e-12
         assert data["phi_star_exact"] == "1/2"
         assert data["diameter"] == 3
+
+    def test_exact_n9_exceeds_kernel_cap(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "--n", "9", "--chain", "rw")
+        assert code == 1 and out == ""
+        assert f"cap is {MAX_KERNEL_BYTES // 10**6} MB" in err
 
 
 class TestSampling:

@@ -350,3 +350,12 @@ class TestDiameter:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_lower_bound(self, n, hasse):
         assert diameter(hasse[n]) >= 2 * (n - 3)
+
+    def test_disconnected_graph(self):
+        a, b = TreeShape((0,), (4,)), TreeShape((0, 1), (2, 2))
+        g = lattice.LatticeGraph(
+            n=4, vertices=(a, b), up=((), ()), down=((), ()), index={a: 0, b: 1}
+        )
+        assert g.is_connected() is False
+        with pytest.raises(ValueError, match="not connected"):
+            diameter(g)

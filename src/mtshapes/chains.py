@@ -67,7 +67,6 @@ class ChainState:
     """Mutable state of one running chain."""
 
     shape: TreeShape
-    step: int = 0
     accepted: int = 0
     proposed: int = 0
     cached: Neighborhood | None = field(default=None, repr=False)
@@ -116,7 +115,6 @@ def step_symmetric(state: ChainState, rng: np.random.Generator) -> ChainState:
     r = random_below(rng, max_degree(state.shape.n_tips))
     if r < nbhd.degree:
         state.shape = nbhd.neighbor(r)
-    state.step += 1
     return state
 
 
@@ -124,7 +122,6 @@ def step_random_walk(state: ChainState, rng: np.random.Generator) -> ChainState:
     """One step of the simple random walk: a uniform neighbor, never a
     self-loop (reflects at binary shapes and at the star)."""
     state.shape = uniform_neighbor(rng, state.neighborhood())
-    state.step += 1
     return state
 
 
@@ -147,7 +144,6 @@ def step_mh_uniform(state: ChainState, rng: np.random.Generator) -> ChainState:
     if accept:
         state.shape, state.cached = proposal, there
         state.accepted += 1
-    state.step += 1
     return state
 
 
@@ -183,10 +179,6 @@ def semi_random_init(n: int, k: int, rng: np.random.Generator) -> TreeShape:
 class RunResult:
     """Thinned samples per chain, with per-chain acceptance rates."""
 
-    n: int
-    sampler: str
-    seed: int
-    thin: int
     samples: list[list[TreeShape]]
     acceptance_rates: list[float]
 
@@ -259,26 +251,44 @@ def run_chains(
     else:
         results = [_run_one_chain(*a) for a in jobs]
     return RunResult(
-        n=n,
-        sampler=sampler,
-        seed=seed,
-        thin=thin,
         samples=[r[0] for r in results],
         acceptance_rates=[r[1] for r in results],
     )
 
 
 # -- exact small-N analysis ---------------------------------------------
+#
+# Both kernels move to each neighbor of x with probability 1/w(x) and
+# hold otherwise: w = M_N for the symmetric chain, w = deg for the random
+# walk.  So pi is proportional to w, and the bottleneck ratio of S is
+# |boundary of S| / w(S).  _weights is the only place that reads the kind.
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+def _weights(graph: LatticeGraph, kind: str) -> np.ndarray:
+    """Holding weight w(x) per vertex of ``graph`` for chain ``kind``."""
+    if kind == "symmetric":
+        return np.full(graph.n_vertices, max_degree(graph.n))
+    if kind == "random-walk":
+        plus, minus = graph.degrees()
+        deg = plus + minus
+        if not deg.all():
+            raise ValueError("random walk undefined: the space has an isolated shape")
+        return deg
+    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
+def _adjacency(graph: LatticeGraph) -> np.ndarray:
+    """Boolean V x V adjacency of the undirected covering graph."""
+    adj = np.zeros((graph.n_vertices, graph.n_vertices), dtype=bool)
+    lower = [i for i, ups in enumerate(graph.up) for _ in ups]
+    upper = [j for ups in graph.up for j in ups]
+    adj[lower + upper, upper + lower] = True
+    return adj
 
 
 def exact_kernel(graph: LatticeGraph, kind: str, lazy: bool = False) -> np.ndarray:
     """Dense transition matrix over ``graph.vertices``."""
-    _check_kind(kind)
+    w = _weights(graph, kind)
     v = graph.n_vertices
     size = 8 * v * v  # float64 entries
     if size > MAX_KERNEL_BYTES:
@@ -286,34 +296,21 @@ def exact_kernel(graph: LatticeGraph, kind: str, lazy: bool = False) -> np.ndarr
             f"dense kernel over {v} shapes needs {size / 1e6:.0f} MB; "
             f"cap is {MAX_KERNEL_BYTES // 10**6} MB (exact analysis takes N <= 8)"
         )
-    p = np.zeros((v, v))
-    if kind == "symmetric":
-        m_n = max_degree(graph.n)
-        for i in range(v):
-            nbrs = graph.neighbors(i)
-            p[i, list(nbrs)] = 1.0 / m_n
-            p[i, i] = 1.0 - len(nbrs) / m_n
-    else:
-        for i in range(v):
-            nbrs = graph.neighbors(i)
-            if not nbrs:
-                raise ValueError(
-                    "random walk undefined: the space has an isolated shape"
-                )
-            p[i, list(nbrs)] = 1.0 / len(nbrs)
+    adj = _adjacency(graph)
+    p = adj / w[:, None]
+    diag = np.arange(v)
+    p[diag, diag] = 1.0 - adj.sum(axis=1) / w
     if lazy:
-        p = (np.eye(v) + p) / 2.0
+        p[diag, diag] += 1.0
+        p /= 2.0
     return p
 
 
 def stationary_distribution(graph: LatticeGraph, kind: str) -> np.ndarray:
-    """Uniform for the symmetric chain; degree-proportional for the walk."""
-    _check_kind(kind)
-    if kind == "symmetric":
-        return np.full(graph.n_vertices, 1.0 / graph.n_vertices)
-    plus, minus = graph.degrees()
-    deg = plus + minus
-    return deg / deg.sum()
+    """Proportional to the holding weight: uniform for the symmetric
+    chain, degree-proportional for the walk."""
+    w = _weights(graph, kind)
+    return w / w.sum()
 
 
 @dataclass
@@ -329,38 +326,27 @@ def exact_bottleneck(graph: LatticeGraph, kind: str) -> BottleneckResult:
     """Minimize Q(S, S^c)/pi(S) over nonempty S with pi(S) <= 1/2 by
     enumerating all 2^V subsets (exact rational arithmetic).
 
-    For both kernels the ratio reduces to integer counts: boundary edges
-    over M_N * |S| for the symmetric chain, boundary edges over the total
-    degree of S for the random walk.
+    The ratio reduces to integer counts: boundary edges over w(S), the
+    holding weight of S (M_N * |S| for the symmetric chain, the total
+    degree of S for the random walk).
     """
-    _check_kind(kind)
+    w = _weights(graph, kind)
     v = graph.n_vertices
     if v > MAX_BOTTLENECK_VERTICES:
         raise ValueError(
             f"subset enumeration over {v} vertices (2^{v} sets) refused; "
             f"cap is {MAX_BOTTLENECK_VERTICES}"
         )
-    adj = np.zeros((v, v), dtype=np.int64)
-    for i in range(v):
-        adj[i, list(graph.neighbors(i))] = 1
-    deg = adj.sum(axis=1)
+    adj = _adjacency(graph)
     masks = np.arange(1, 2**v, dtype=np.uint64)
     member = (masks[:, None] >> np.arange(v, dtype=np.uint64)[None, :]) & 1
     member = member.astype(bool)
     cut = np.einsum("si,ij,sj->s", member, adj, ~member, dtype=np.int64)
-    if kind == "symmetric":
-        m_n = max_degree(graph.n)
-        size = member.sum(axis=1)
-        eligible = 2 * size <= v
-        denom = m_n * size
-    else:
-        vol = member @ deg
-        eligible = 2 * vol <= deg.sum()
-        denom = vol
+    vol = member @ w
     best = None
     arg: list[int] = []
-    for s in np.flatnonzero(eligible):
-        phi = Fraction(int(cut[s]), int(denom[s]))
+    for s in np.flatnonzero(2 * vol <= w.sum()):
+        phi = Fraction(int(cut[s]), int(vol[s]))
         if best is None or phi < best:
             best, arg = phi, [s]
         elif phi == best:
@@ -385,14 +371,14 @@ class GapResult:
 def exact_gap(graph: LatticeGraph, kind: str, lazy: bool = False) -> GapResult:
     """Spectral gap via a symmetric eigensolve.
 
-    The random walk is symmetrized by the similarity transform
-    D^(1/2) P D^(-1/2) with D = diag(pi), which preserves the spectrum.
+    The kernel is symmetrized by the similarity transform
+    D^(1/2) P D^(-1/2) with D = diag(pi), which preserves the spectrum
+    (the identity for the symmetric chain, whose pi is uniform).
     """
     p = exact_kernel(graph, kind, lazy=lazy)
-    if kind == "random-walk":
-        pi = stationary_distribution(graph, kind)
-        root = np.sqrt(pi)
-        p = (root[:, None] * p) / root[None, :]
+    root = np.sqrt(stationary_distribution(graph, kind))
+    p *= root[:, None]
+    p /= root[None, :]
     w = np.linalg.eigvalsh(p)
     gamma = 1.0 - w[-2]
     gamma_star = 1.0 - max(abs(w[0]), w[-2])

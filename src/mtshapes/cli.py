@@ -29,7 +29,11 @@ from .chains import (
     stationary_distribution,
 )
 from .coalescent import BetaMeasure, sample_topologies
-from .enumeration import DEFAULT_GENERATION_CAP, count_shapes, count_space
+from .enumeration import (
+    DEFAULT_GENERATION_CAP,
+    count_shapes,
+    count_space,  # noqa: F401  (perfbench/tracing.py patches cli.count_space)
+)
 from .lattice import (
     build_hasse,
     covers,  # noqa: F401  (kept importable: perfbench/tracing.py patches cli.covers)
@@ -43,6 +47,13 @@ from .shapes import TreeShape
 from .treestats import aggregate, shape_stats
 
 
+def _parse_shape(text: str) -> TreeShape:
+    """A shape from its JSON form (leading ``{``) or its text form."""
+    if text.lstrip().startswith("{"):
+        return TreeShape.from_json(text)
+    return TreeShape.from_text(text)
+
+
 def _load_shape(value: str) -> TreeShape:
     """A shape from a literal (text or JSON form) or from a file path."""
     text = value
@@ -52,9 +63,7 @@ def _load_shape(value: str) -> TreeShape:
         if not lines:
             raise ValueError(f"{value}: empty shape file")
         text = lines[0]
-    if text.lstrip().startswith("{"):
-        return TreeShape.from_json(text)
-    return TreeShape.from_text(text)
+    return _parse_shape(text)
 
 
 def _read_shapes(path: str) -> list[TreeShape]:
@@ -66,10 +75,7 @@ def _read_shapes(path: str) -> list[TreeShape]:
             if not line:
                 continue
             try:
-                if line.startswith("{"):
-                    shapes.append(TreeShape.from_json(line))
-                else:
-                    shapes.append(TreeShape.from_text(line))
+                shapes.append(_parse_shape(line))
             except ValueError as e:
                 raise ValueError(f"line {lineno}: {e}") from e
         return shapes
@@ -92,23 +98,23 @@ def _emit(line: str = ""):
 def cmd_enumerate(args) -> int:
     ns = range(2, args.n + 1)
     ks = range(1, args.n)
+    # Each total is its row sum, so no count is computed twice.
+    table = {n: [count_shapes(n, k) for k in ks] for n in ns}
     if args.json:
         rows = [
             {
                 "n": n,
-                "counts": {str(k): count_shapes(n, k) for k in ks if k < n},
-                "total": count_space(n),
+                "counts": {str(k): c for k, c in zip(ks, row) if k < n},
+                "total": sum(row),
             }
-            for n in ns
+            for n, row in table.items()
         ]
         _emit(json.dumps({"rows": rows}))
         return 0
     writer = csv.writer(sys.stdout)
     writer.writerow(["n"] + [f"k{k}" for k in ks] + ["total"])
-    for n in ns:
-        writer.writerow(
-            [n] + [count_shapes(n, k) for k in ks] + [count_space(n)]
-        )
+    for n, row in table.items():
+        writer.writerow([n] + row + [sum(row)])
     return 0
 
 

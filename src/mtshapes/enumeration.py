@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .shapes import TreeShape
+from .shapes import TreeShape, _child_counts, _min_leaves
 
 __all__ = [
     "DEFAULT_GENERATION_CAP",
@@ -44,13 +44,8 @@ def k0_k1(t) -> tuple[int, int]:
 
     The placeholder 0 at the front is never counted.
     """
-    k = len(t)
-    counts = [0] * (k + 1)
-    for x in t[1:]:
-        counts[x] += 1
-    k0 = sum(1 for j in range(1, k + 1) if counts[j] == 0)
-    k1 = sum(1 for j in range(1, k + 1) if counts[j] == 1)
-    return k0, k1
+    counts = _child_counts(t)
+    return counts.count(0), counts.count(1)
 
 
 def valid_pairs(k: int) -> frozenset[tuple[int, int]]:
@@ -218,13 +213,7 @@ def generate_all(
         if not 1 <= kk <= n - 1:
             continue
         for t in _t_vectors(kk):
-            counts = [0] * (kk + 1)
-            for x in t[1:]:
-                counts[x] += 1
-            mins = [
-                2 if counts[j] == 0 else (1 if counts[j] == 1 else 0)
-                for j in range(1, kk + 1)
-            ]
+            mins = _min_leaves(t)
             spare = n - sum(mins)
             if spare < 0:
                 continue

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from operator import index as _as_int
+from operator import gt, index as _as_int
 
 import numpy as np
 
@@ -87,6 +87,20 @@ def _check_vectors(t, l):
     return t, l
 
 
+def _child_counts(t) -> list[int]:
+    """Internal children per node: entry j - 1 counts rank j in ``t[1:]``."""
+    counts = [0] * (len(t) + 1)
+    for x in t:  # the root's placeholder 0 lands in counts[0], dropped
+        counts[x] += 1
+    return counts[1:]
+
+
+def _min_leaves(t) -> list[int]:
+    """Fewest leaves each node may keep: every node has at least two
+    children, so a node with c internal children keeps max(0, 2 - c)."""
+    return [2 - c if c < 2 else 0 for c in _child_counts(t)]
+
+
 def validate_string(t, l, n=None) -> str | None:
     """Check the vector-pair constraints; return None if valid.
 
@@ -112,15 +126,10 @@ def validate_string(t, l, n=None) -> str | None:
         return "S2"
     if n is not None and sum(l) != n:
         return "S2"
-    counts = [0] * (k + 1)
-    for x in t[1:]:
-        counts[x] += 1
-    for j in range(1, k + 1):
-        if counts[j] == 0 and l[j - 1] < 2:
-            return "S3"
-    for j in range(1, k + 1):
-        if counts[j] == 1 and l[j - 1] < 1:
-            return "S4"
+    mins = _min_leaves(t)
+    if any(map(gt, mins, l)):
+        # A minimum of 2 marks a node with no internal child (S3).
+        return "S3" if any(m == 2 and x < 2 for m, x in zip(mins, l)) else "S4"
     return None
 
 
@@ -282,11 +291,7 @@ class TreeShape:
 
     def children_counts(self) -> tuple[tuple[int, int], ...]:
         """Per internal node, its (internal child count, leaf count)."""
-        k = len(self.t)
-        ks = [0] * k
-        for x in self.t[1:]:
-            ks[x - 1] += 1
-        return tuple(zip(ks, self.l))
+        return tuple(zip(_child_counts(self.t), self.l))
 
     def fmatrix(self) -> np.ndarray:
         return string_to_fmatrix(self.t, self.l)

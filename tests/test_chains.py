@@ -68,6 +68,64 @@ def scratch_degree(shape):
     return plus + sum(split_count(k, l) for k, l in shape.children_counts())
 
 
+def reference_kernel(graph, kind, lazy=False):
+    """Dense kernel built row by row, one branch per kind."""
+    v = graph.n_vertices
+    p = np.zeros((v, v))
+    if kind == "symmetric":
+        m_n = max_degree(graph.n)
+        for i in range(v):
+            nbrs = graph.neighbors(i)
+            p[i, list(nbrs)] = 1.0 / m_n
+            p[i, i] = 1.0 - len(nbrs) / m_n
+    else:
+        for i in range(v):
+            nbrs = graph.neighbors(i)
+            p[i, list(nbrs)] = 1.0 / len(nbrs)
+    if lazy:
+        p = (np.eye(v) + p) / 2.0
+    return p
+
+
+def reference_stationary(graph, kind):
+    """Uniform for the symmetric chain, degree-proportional for the walk."""
+    if kind == "symmetric":
+        return np.full(graph.n_vertices, 1.0 / graph.n_vertices)
+    plus, minus = graph.degrees()
+    deg = plus + minus
+    return deg / deg.sum()
+
+
+def reference_bottleneck(graph, kind):
+    """(phi_star, minimizing subsets) by enumerating every subset, with
+    the per-kind eligibility and denominator written out."""
+    v = graph.n_vertices
+    adj = np.zeros((v, v), dtype=np.int64)
+    for i in range(v):
+        adj[i, list(graph.neighbors(i))] = 1
+    deg = adj.sum(axis=1)
+    best, arg = None, []
+    for size in range(1, v + 1):
+        for subset in itertools.combinations(range(v), size):
+            inside = np.zeros(v, dtype=bool)
+            inside[list(subset)] = True
+            cut = int(adj[inside][:, ~inside].sum())
+            if kind == "symmetric":
+                if 2 * size > v:
+                    continue
+                phi = Fraction(cut, max_degree(graph.n) * size)
+            else:
+                vol = int(deg[inside].sum())
+                if 2 * vol > deg.sum():
+                    continue
+                phi = Fraction(cut, vol)
+            if best is None or phi < best:
+                best, arg = phi, [subset]
+            elif phi == best:
+                arg.append(subset)
+    return best, {tuple(graph.vertices[i] for i in s) for s in arg}
+
+
 def reference_random_below(rng, n):
     """The multi-word draw for every n, one array call per attempt."""
     bits = n.bit_length()
@@ -430,6 +488,35 @@ class TestExactKernels:
     def test_unknown_kind_rejected(self, exact, hasse):
         with pytest.raises(ValueError, match="kind must be one of"):
             exact(hasse[4], "mh-uniform")
+
+    @pytest.mark.parametrize(
+        "exact", [exact_kernel, stationary_distribution, exact_bottleneck, exact_gap]
+    )
+    def test_symmetric_needs_max_degree(self, exact, hasse):
+        # The symmetric chain holds with weight M_N, defined from N = 4.
+        with pytest.raises(ValueError, match="n must be >= 4"):
+            exact(hasse[3], "symmetric")
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("kind", ["symmetric", "random-walk"])
+    def test_matches_row_by_row_reference(self, n, kind, hasse):
+        g = hasse[n]
+        for lazy in (False, True):
+            assert np.array_equal(
+                exact_kernel(g, kind, lazy=lazy), reference_kernel(g, kind, lazy)
+            )
+        assert np.array_equal(
+            stationary_distribution(g, kind), reference_stationary(g, kind)
+        )
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("kind", ["symmetric", "random-walk"])
+    def test_bottleneck_matches_reference(self, n, kind, hasse):
+        res = exact_bottleneck(hasse[n], kind)
+        phi, minimizers = reference_bottleneck(hasse[n], kind)
+        assert res.phi_star == phi
+        assert len(res.minimizers) == len(minimizers)
+        assert set(res.minimizers) == minimizers
 
 
 class TestBottleneck:

@@ -1,5 +1,7 @@
 """Encodings, validation, collapse, and serialization of tree shapes."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,22 @@ FIG3 = TreeShape((0, 1, 2, 3, 3), (3, 1, 2, 3, 3))
 
 def all_shapes(n):
     return list(generate_all(n))
+
+
+def fmatrix_candidates(n):
+    """Every lower-triangular matrix whose diagonal and subdiagonal obey
+    F1 (diagonal ending at n) and whose other entries lie in
+    0..F[j][j]."""
+    for k in range(1, n):
+        free = [(i, j) for j in range(k) for i in range(j + 2, k)]
+        for head in itertools.combinations(range(2, n), k - 1):
+            diag = head + (n,)
+            for values in itertools.product(*(range(diag[j] + 1) for _, j in free)):
+                m = np.diag(diag)
+                m[range(1, k), range(k - 1)] = np.array(diag[:-1]) - 1
+                for (i, j), x in zip(free, values):
+                    m[i, j] = x
+                yield m
 
 
 class TestValidateString:
@@ -121,6 +139,17 @@ class TestValidateFmatrix:
         for n in range(2, 8):
             for s in all_shapes(n):
                 assert validate_fmatrix(s.fmatrix(), n=n) is None
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_rules_accept_only_generated_fmatrices(self, n):
+        # Completeness: no matrix outside the shape space passes F1-F3c.
+        accepted = {
+            tuple(map(tuple, m.tolist()))
+            for m in fmatrix_candidates(n)
+            if validate_fmatrix(m, n=n) is None
+        }
+        generated = {tuple(map(tuple, s.fmatrix().tolist())) for s in all_shapes(n)}
+        assert accepted == generated
 
 
 class TestConversions:

@@ -227,6 +227,8 @@ def run_chains(
     shape with (i mod (N-1)) + 1 internal nodes, drawn from that chain's
     own stream), a single TreeShape, or one TreeShape per chain.
     """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     if sampler not in _STEPPERS:
         raise ValueError(f"sampler must be one of {tuple(_STEPPERS)}, got {sampler!r}")
     if n_chains < 1 or n_steps < 1 or thin < 1:

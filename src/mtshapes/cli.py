@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -84,18 +85,25 @@ def _read_shapes(path: str) -> list[TreeShape]:
             handle.close()
 
 
-def _fmatrix_rows(shape: TreeShape) -> list[list[int]]:
-    return [[int(x) for x in row] for row in shape.fmatrix()]
-
-
 def _emit(line: str = ""):
     sys.stdout.write(line + "\n")
+
+
+def _emit_record(record: dict, as_json: bool):
+    """One JSON object, or one ``key: value`` line per field."""
+    if as_json:
+        _emit(json.dumps(record))
+    else:
+        for key, value in record.items():
+            _emit(f"{key}: {value}")
 
 
 # -- subcommand handlers ------------------------------------------------
 
 
 def cmd_enumerate(args) -> int:
+    if args.n < 2:
+        raise ValueError(f"n must be >= 2, got {args.n}")
     ns = range(2, args.n + 1)
     ks = range(1, args.n)
     # Each total is its row sum, so no count is computed twice.
@@ -138,10 +146,10 @@ def cmd_convert(args) -> int:
     elif args.to == "json":
         _emit(shape.to_json())
     elif args.to == "fmatrix":
-        for i, row in enumerate(_fmatrix_rows(shape)):
+        for i, row in enumerate(shape.fmatrix().tolist()):
             _emit(",".join(str(x) for x in row[: i + 1]))
     else:  # fmatrix-json
-        _emit(json.dumps({"f": _fmatrix_rows(shape)}))
+        _emit(json.dumps({"f": shape.fmatrix().tolist()}))
     return 0
 
 
@@ -151,7 +159,7 @@ def cmd_lub(args) -> int:
     if args.json:
         _emit(
             json.dumps(
-                {"lub": m.to_text(), "f": _fmatrix_rows(m), "k": m.n_internal}
+                {"lub": m.to_text(), "f": m.fmatrix().tolist(), "k": m.n_internal}
             )
         )
     else:
@@ -196,11 +204,7 @@ def cmd_hasse(args) -> int:
 
 def cmd_bounds(args) -> int:
     report = mixing_bounds(args.n, include_exact=args.exact)
-    if args.json:
-        _emit(json.dumps(report.to_dict()))
-    else:
-        for key, value in report.to_dict().items():
-            _emit(f"{key}: {value}")
+    _emit_record(report.to_dict(), args.json)
     return 0
 
 
@@ -227,11 +231,7 @@ def cmd_exact(args) -> int:
         result["phi_star"] = float(bottleneck.phi_star)
         result["phi_star_exact"] = str(bottleneck.phi_star)
         result["n_minimizers"] = len(bottleneck.minimizers)
-    if args.json:
-        _emit(json.dumps(result))
-    else:
-        for key, value in result.items():
-            _emit(f"{key}: {value}")
+    _emit_record(result, args.json)
     return 0
 
 
@@ -277,6 +277,8 @@ def cmd_sample_coalescent(args) -> int:
 
 
 def cmd_semi_random(args) -> int:
+    if args.n < 2:
+        raise ValueError(f"n must be >= 2, got {args.n}")
     rng = np.random.Generator(np.random.PCG64(args.seed))
     ks = (
         [args.k] * args.count
@@ -295,20 +297,22 @@ def cmd_stats(args) -> int:
     stats = [shape_stats(s) for s in shapes]
     sizes = range(2, args.max_cherry + 1)
     summary = aggregate(stats, cherry_sizes=sizes)
+    record = dataclasses.asdict(summary)  # json writes the int keys as strings
     if args.summary_out:
         with open(args.summary_out, "w") as fh:
-            json.dump(summary.to_dict(), fh)
+            json.dump(record, fh)
     if args.json:
-        _emit(json.dumps(summary.to_dict()))
+        _emit(json.dumps(record))
         return 0
     writer = csv.writer(sys.stdout)
     writer.writerow(
         ["n", "k", "max_block", "avg_block"] + [f"cherry_{m}" for m in sizes]
     )
     for s in stats:
+        cherries = dict(s.cherries)
         writer.writerow(
             [s.n, s.k, s.max_block, f"{s.avg_block:.6g}"]
-            + [s.cherry_count(m) for m in sizes]
+            + [cherries.get(m, 0) for m in sizes]
         )
     return 0
 

@@ -9,17 +9,15 @@ whose children are exactly m leaves.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .shapes import TreeShape
+from .shapes import TreeShape, _child_counts
 
 __all__ = ["ShapeStats", "StatsSummary", "shape_stats", "aggregate", "lower_median"]
 
 
-@dataclass(frozen=True)
-class ShapeStats:
+class ShapeStats(NamedTuple):
     """Summary of one shape: tips, internal nodes, block sizes, cherries."""
 
     n: int
@@ -33,18 +31,19 @@ class ShapeStats:
 
 
 def shape_stats(shape: TreeShape) -> ShapeStats:
-    """Block-size and cherry statistics of a single shape."""
-    counts = shape.children_counts()
-    blocks = [k + l for k, l in counts]
-    n, kk = shape.n_tips, shape.n_internal
-    cherries = Counter(l for k, l in counts if k == 0)
-    return ShapeStats(
-        n=n,
-        k=kk,
-        max_block=max(blocks),
-        avg_block=(n + kk - 1) / kk,
-        cherries=tuple(sorted(cherries.items())),
-    )
+    """Block-size and cherry statistics of a single shape, in one pass
+    over its nodes."""
+    t, l = shape.t, shape.l
+    max_block = 0
+    cherries: dict[int, int] = {}
+    for internal, leaves in zip(_child_counts(t), l):
+        block = internal + leaves
+        if block > max_block:
+            max_block = block
+        if not internal:
+            cherries[leaves] = cherries.get(leaves, 0) + 1
+    n, k = sum(l), len(t)
+    return ShapeStats(n, k, max_block, (n + k - 1) / k, tuple(sorted(cherries.items())))
 
 
 def lower_median(values: Sequence[float]) -> float:
@@ -68,19 +67,6 @@ class StatsSummary:
     mean_cherries: dict[int, float]  # m -> mean count per shape
     scaled_cherries: dict[int, float]  # m -> mean of count / n
 
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean_k": self.mean_k,
-            "median_k": self.median_k,
-            "mean_max_block": self.mean_max_block,
-            "median_max_block": self.median_max_block,
-            "mean_avg_block": self.mean_avg_block,
-            "median_avg_block": self.median_avg_block,
-            "mean_cherries": {str(m): v for m, v in self.mean_cherries.items()},
-            "scaled_cherries": {str(m): v for m, v in self.scaled_cherries.items()},
-        }
-
 
 def aggregate(
     stats: Iterable[ShapeStats], cherry_sizes: Sequence[int] = range(2, 7)
@@ -91,15 +77,14 @@ def aggregate(
     if not items:
         raise ValueError("cannot aggregate an empty sample")
     count = len(items)
-    ks = [s.k for s in items]
-    maxes = [s.max_block for s in items]
-    avgs = [s.avg_block for s in items]
-    mean_cherries = {}
-    scaled = {}
-    for m in cherry_sizes:
-        per = [s.cherry_count(m) for s in items]
-        mean_cherries[m] = sum(per) / count
-        scaled[m] = math.fsum(c / s.n for c, s in zip(per, items)) / count
+    _, ks, maxes, avgs, _ = zip(*items)
+    totals = dict.fromkeys(cherry_sizes, 0)
+    terms = {m: [] for m in totals}  # per size, c / n of each shape with c > 0
+    for s in items:
+        for m, c in s.cherries:
+            if m in totals:
+                totals[m] += c
+                terms[m].append(c / s.n)
     return StatsSummary(
         count=count,
         mean_k=sum(ks) / count,
@@ -108,6 +93,7 @@ def aggregate(
         median_max_block=lower_median(maxes),
         mean_avg_block=math.fsum(avgs) / count,
         median_avg_block=lower_median(avgs),
-        mean_cherries=mean_cherries,
-        scaled_cherries=scaled,
+        # Shapes without an m-cherry add exact zeros, which change neither sum.
+        mean_cherries={m: c / count for m, c in totals.items()},
+        scaled_cherries={m: math.fsum(v) / count for m, v in terms.items()},
     )

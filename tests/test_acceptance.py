@@ -39,7 +39,6 @@ from mtshapes import (
     count_space,
     deg_minus,
     deg_plus,
-    degree,
     diameter,
     exact_bottleneck,
     exact_gap,
@@ -48,19 +47,22 @@ from mtshapes import (
     lattice_distance,
     lub,
     lub_fmatrix,
-    max_degree,
     max_degree_tree,
     mixing_bounds,
     pair_table,
     run_chains,
     sample_topologies,
-    semi_random_fmatrix,
-    semi_random_init,
     shape_stats,
     stationary_distribution,
     validate_fmatrix,
 )
-from mtshapes.chains import ChainState, step_mh_uniform
+from mtshapes.chains import (
+    ChainState,
+    semi_random_fmatrix,
+    semi_random_init,
+    step_mh_uniform,
+)
+from mtshapes.lattice import degree, max_degree
 from test_enumeration import TABLE_CELLS, eulerian
 from test_shapes import FX, FY
 
@@ -163,7 +165,7 @@ def test_c04_sequences():
     for k in range(2, 12):
         for k0, total in pair_table(k).row_sums().items():
             assert total == eulerian(k - 1, k0)
-    from mtshapes import valid_pairs
+    from mtshapes.enumeration import valid_pairs
 
     for k in range(2, 21):
         assert len(valid_pairs(k)) == (k - 1) ** 2 // 4 + 1

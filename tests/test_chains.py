@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtshapes import (
-    ChainState,
     TreeShape,
     covers,
     deg_minus,
@@ -21,25 +20,25 @@ from mtshapes import (
     exact_gap,
     exact_kernel,
     generate_all,
-    max_degree,
     mixing_bounds,
     present_edges,
-    refine_node,
     refinements_below,
     run_chains,
+    stationary_distribution,
+    validate_fmatrix,
+    validate_string,
+)
+from mtshapes.chains import (
+    ChainState,
+    random_below,
     semi_random_fmatrix,
     semi_random_init,
-    split_count,
-    stationary_distribution,
     step_mh_uniform,
     step_random_walk,
     step_symmetric,
     uniform_neighbor,
-    validate_fmatrix,
-    validate_string,
 )
-from mtshapes.chains import random_below
-from mtshapes.lattice import Neighborhood
+from mtshapes.lattice import Neighborhood, max_degree, refine_node, split_count
 
 
 def rng_from(seed):
@@ -439,6 +438,11 @@ class TestRunChains:
     def test_bad_sampler(self):
         with pytest.raises(ValueError):
             run_chains(6, "bogus", n_chains=1, n_steps=1, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_too_few_tips(self, n):
+        with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
+            run_chains(n, "mh-uniform", n_chains=2, n_steps=1, seed=0)
 
 
 class TestExactKernels:

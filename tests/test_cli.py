@@ -28,6 +28,11 @@ class TestEnumerate:
         assert last[1:4] == ["1", "10", "90"]
         assert last[-1] == str(count_space(12)) == "1878112"
 
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_too_few_tips(self, capsys, n):
+        code, out, err = run_cli(capsys, "enumerate", "--n", n)
+        assert (code, out, err) == (1, "", f"error: n must be >= 2, got {n}\n")
+
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--json")
         data = json.loads(out)
@@ -184,6 +189,17 @@ class TestSampling:
         )
         shapes = [TreeShape.from_text(ln) for ln in out.strip().splitlines()]
         assert all(s.n_internal == 3 and s.n_tips == 7 for s in shapes)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["semi-random", "--n", "1", "--seed", "1"],
+            ["sample-uniform", "--n", "1", "--chains", "2", "--steps", "3", "--seed", "1"],
+        ],
+    )
+    def test_one_tip_is_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: n must be >= 2, got 1\n")
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -15,12 +15,10 @@ from mtshapes import (
     BetaMeasure,
     TreeShape,
     generate_all,
-    merger_distribution,
-    merger_rate,
     sample_topologies,
-    sample_topology,
     validate_string,
 )
+from mtshapes.coalescent import merger_distribution, merger_rate, sample_topology
 
 
 def rng_from(seed):

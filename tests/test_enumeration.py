@@ -12,10 +12,9 @@ from mtshapes import (
     count_shapes,
     count_space,
     generate_all,
-    k0_k1,
     pair_table,
-    valid_pairs,
 )
+from mtshapes.enumeration import k0_k1, valid_pairs
 
 # Per-K counts, checked against the published table and against two
 # independent oracles below.  The published per-N totals disagree with

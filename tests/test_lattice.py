@@ -5,26 +5,28 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtshapes import (
+    UNIFORM_MEASURE,
     InvalidShapeError,
     TreeShape,
     covers,
     deg_minus,
     deg_plus,
-    degree,
     diameter,
     generate_all,
     lattice_distance,
     lub,
     lub_fmatrix,
-    max_degree,
     max_degree_tree,
     present_edges,
-    refine_node,
     refinements_below,
-    split_count,
+    sample_topologies,
 )
+from mtshapes.chains import ChainState, semi_random_init, step_random_walk
+from mtshapes.lattice import degree, max_degree, refine_node, split_count
 from mtshapes import lattice
 from test_shapes import FX, FY
 
@@ -288,6 +290,49 @@ class TestLatticeDistance:
                 assert lattice_distance(
                     g.vertices[start], g.vertices[other]
                 ) == dist[other]
+
+
+@st.composite
+def shape_triples(draw):
+    """Three shapes with the same N = 2..50 tips.  Each is a semi-random or
+    a Beta(1, 1) coalescent draw, or the shape before it moved by a few
+    random-walk steps, so that some pairs lie close in the lattice."""
+    n = draw(st.integers(2, 50))
+    shapes = []
+    for _ in range(3):
+        rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+        source = draw(st.sampled_from(["semi-random", "coalescent", "walk"]))
+        if source == "walk" and shapes and n > 2:  # N = 2 has one shape
+            state = ChainState(shapes[-1])
+            for _ in range(draw(st.integers(1, 8))):
+                step_random_walk(state, rng)
+            shapes.append(state.shape)
+        elif source == "coalescent":
+            shapes.append(sample_topologies(n, UNIFORM_MEASURE, 1, rng)[0])
+        else:
+            shapes.append(semi_random_init(n, draw(st.integers(1, n - 1)), rng))
+    return tuple(shapes)
+
+
+class TestLatticeLaws:
+    @settings(deadline=None, derandomize=True)
+    @given(shape_triples())
+    def test_lub_is_a_join(self, abc):
+        a, b, c = abc
+        ab = lub(a, b)
+        assert lub(b, a) == ab
+        assert lub(a, a) == a
+        assert np.array_equal(lub_fmatrix(a.fmatrix(), a.fmatrix()), a.fmatrix())
+        assert lub(a, lub(b, c)) == lub(ab, c)
+        assert lub(a, ab) == ab and lub(b, ab) == ab
+
+    @settings(deadline=None, derandomize=True)
+    @given(shape_triples())
+    def test_distance_is_a_metric(self, abc):
+        a, b, c = abc
+        d_ab = lattice_distance(a, b)
+        assert d_ab == lattice_distance(b, a)
+        assert lattice_distance(a, c) <= d_ab + lattice_distance(b, c)
 
 
 class TestHasse:

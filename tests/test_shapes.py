@@ -14,15 +14,14 @@ from mtshapes import (
     TreeShape,
     collapse_edge,
     collapse_edge_fmatrix,
-    fmatrix_to_string,
     generate_all,
     present_edges,
-    semi_random_init,
     string_to_dmatrix,
-    string_to_fmatrix,
     validate_fmatrix,
     validate_string,
 )
+from mtshapes.chains import semi_random_init
+from mtshapes.shapes import fmatrix_to_string, string_to_fmatrix
 from mtshapes import shapes as shapes_module
 
 # 7x7 binary pair used in the worked least-upper-bound example.

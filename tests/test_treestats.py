@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from mtshapes import (
-    ChainState,
-    TreeShape,
-    aggregate,
-    generate_all,
-    semi_random_init,
-    shape_stats,
-    step_mh_uniform,
-)
+from mtshapes import TreeShape, aggregate, generate_all, shape_stats
+from mtshapes.chains import ChainState, semi_random_init, step_mh_uniform
 from mtshapes.treestats import lower_median
 
 

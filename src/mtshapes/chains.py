@@ -343,16 +343,18 @@ def exact_bottleneck(graph: LatticeGraph, kind: str) -> BottleneckResult:
     masks = np.arange(1, 2**v, dtype=np.uint64)
     member = (masks[:, None] >> np.arange(v, dtype=np.uint64)[None, :]) & 1
     member = member.astype(bool)
-    cut = np.einsum("si,ij,sj->s", member, adj, ~member, dtype=np.int64)
+    cut = ((member @ adj.astype(np.int64)) * ~member).sum(1)
     vol = member @ w
-    best = None
-    arg: list[int] = []
-    for s in np.flatnonzero(2 * vol <= w.sum()):
-        phi = Fraction(int(cut[s]), int(vol[s]))
-        if best is None or phi < best:
-            best, arg = phi, [s]
-        elif phi == best:
-            arg.append(s)
+    admissible = np.flatnonzero(2 * vol <= w.sum())
+    cut, vol = cut[admissible], vol[admissible]
+    # A float pick, confirmed in integers: cut/vol >= cut0/vol0 exactly
+    # when cut * vol0 >= cut0 * vol, the volumes being positive.
+    s0 = np.argmin(cut / vol)
+    lhs, rhs = cut * vol[s0], cut[s0] * vol
+    if (lhs < rhs).any():
+        raise ArithmeticError("float argmin missed the exact bottleneck minimum")
+    best = Fraction(int(cut[s0]), int(vol[s0]))
+    arg = admissible[lhs == rhs]
     minimizers = [
         tuple(graph.vertices[i] for i in np.flatnonzero(member[s]))
         for s in arg

@@ -211,9 +211,9 @@ def cmd_bounds(args) -> int:
 def cmd_exact(args) -> int:
     kind = {"sym": "symmetric", "rw": "random-walk"}[args.chain]
     graph = build_hasse(args.n)
-    p = exact_kernel(graph, kind)
     pi = stationary_distribution(graph, kind)
-    residual = float(np.abs(pi @ p - pi).max())
+    # No name holds the kernel, so it is freed before exact_gap builds its own.
+    residual = float(np.abs(pi @ exact_kernel(graph, kind) - pi).max())
     gap = exact_gap(graph, kind, lazy=args.lazy)
     result = {
         "n": args.n,
@@ -279,6 +279,8 @@ def cmd_sample_coalescent(args) -> int:
 def cmd_semi_random(args) -> int:
     if args.n < 2:
         raise ValueError(f"n must be >= 2, got {args.n}")
+    if args.count < 1:
+        raise ValueError(f"count must be positive, got {args.count}")
     rng = np.random.Generator(np.random.PCG64(args.seed))
     ks = (
         [args.k] * args.count

@@ -14,10 +14,10 @@ is tested against for small N.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .shapes import TreeShape, _child_counts, _min_leaves
@@ -83,19 +83,24 @@ class PairTable:
         return out
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _pair_entries(k: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    table = {(1, 1): 1}
-    for kk in range(3, k + 1):
-        nxt = {}
-        for k0, k1 in valid_pairs(kk):
-            nxt[(k0, k1)] = (
-                table.get((k0 - 1, k1), 0) * (kk - k0 - k1)
-                + table.get((k0 - 1, k1 + 1), 0) * (k1 + 1)
-                + table.get((k0, k1 - 1), 0) * k0
-            )
-        table = nxt
-    return tuple(sorted(table.items()))
+    """Table ``k``, derived from table ``k - 1``."""
+    if k == 2:
+        return (((1, 1), 1),)
+    # Fill the cache from the bottom up, so that the call for k - 1 below
+    # is a hit and no call recurses more than one level at any k.
+    for kk in range(3, k - 1):
+        _pair_entries(kk)
+    table = dict(_pair_entries(k - 1))
+    nxt = {}
+    for k0, k1 in valid_pairs(k):
+        nxt[(k0, k1)] = (
+            table.get((k0 - 1, k1), 0) * (k - k0 - k1)
+            + table.get((k0 - 1, k1 + 1), 0) * (k1 + 1)
+            + table.get((k0, k1 - 1), 0) * k0
+        )
+    return tuple(sorted(nxt.items()))
 
 
 def pair_table(k: int) -> PairTable:
@@ -132,10 +137,17 @@ def count_shapes(n: int, k: int) -> int:
         return 1
     if k == 2:
         return n - 2
-    total = 0
-    for (k0, k1), a in pair_table(k).entries:
-        total += a * _comb(n - 2 * k0 - k1 + k - 1, k - 1)
-    return total
+    return sum(a * _comb(n - j + k - 1, k - 1) for j, a in _weight_sums(k))
+
+
+@functools.cache
+def _weight_sums(k: int) -> tuple[tuple[int, int], ...]:
+    # count_shapes sees a pair (k0, k1) only through j = 2*k0 + k1, so
+    # the table entries are summed per j once.
+    sums: dict[int, int] = {}
+    for (k0, k1), a in _pair_entries(k):
+        sums[2 * k0 + k1] = sums.get(2 * k0 + k1, 0) + a
+    return tuple(sorted(sums.items()))
 
 
 def count_space(n: int) -> int:

@@ -122,7 +122,9 @@ def reference_bottleneck(graph, kind):
                 best, arg = phi, [subset]
             elif phi == best:
                 arg.append(subset)
-    return best, {tuple(graph.vertices[i] for i in s) for s in arg}
+    # Subset S is mask sum(2**i for i in S); list the minimizers by mask.
+    arg.sort(key=lambda subset: sum(1 << i for i in subset))
+    return best, [tuple(graph.vertices[i] for i in s) for s in arg]
 
 
 def reference_random_below(rng, n):
@@ -520,7 +522,15 @@ class TestExactKernels:
         phi, minimizers = reference_bottleneck(hasse[n], kind)
         assert res.phi_star == phi
         assert len(res.minimizers) == len(minimizers)
-        assert set(res.minimizers) == minimizers
+        assert set(res.minimizers) == set(minimizers)
+        assert res.minimizers == minimizers
+
+    def test_bottleneck_refuses_an_unconfirmed_float_pick(self, hasse, monkeypatch):
+        # The float argmin is only a candidate; a pick that the integer
+        # cross-multiplication beats must not be returned.
+        monkeypatch.setattr(np, "argmin", lambda a: len(a) - 1)
+        with pytest.raises(ArithmeticError, match="missed the exact"):
+            exact_bottleneck(hasse[5], "symmetric")
 
 
 class TestBottleneck:

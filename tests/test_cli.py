@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, and reproducibility."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -32,6 +33,25 @@ class TestEnumerate:
     def test_too_few_tips(self, capsys, n):
         code, out, err = run_cli(capsys, "enumerate", "--n", n)
         assert (code, out, err) == (1, "", f"error: n must be >= 2, got {n}\n")
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--n", "60"],
+                "a7aab3a67ded03b473864fd62bfc4ec2b22dad7de2fbedc0f0eff78b19a1d677",
+            ),
+            (
+                ["--n", "30", "--json"],
+                "2eb97984aab4e02f125ed0f4638f9e387e2eb7b7e407c58a1405c0fcaa546abe",
+            ),
+        ],
+        ids=["csv-60", "json-30"],
+    )
+    def test_output_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "enumerate", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--json")
@@ -200,6 +220,13 @@ class TestSampling:
     def test_one_tip_is_domain_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", "error: n must be >= 2, got 1\n")
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_semi_random_count_must_be_positive(self, capsys, count):
+        code, out, err = run_cli(
+            capsys, "semi-random", "--n", "5", "--count", count, "--seed", "1"
+        )
+        assert (code, out, err) == (1, "", f"error: count must be positive, got {count}\n")
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,9 @@
 """Counting recursions, closed forms, and the exhaustive generator."""
 
+import inspect
 import itertools
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -14,6 +16,7 @@ from mtshapes import (
     generate_all,
     pair_table,
 )
+from mtshapes import enumeration
 from mtshapes.enumeration import k0_k1, valid_pairs
 
 # Per-K counts, checked against the published table and against two
@@ -74,6 +77,37 @@ def count_by_t_sum(n, k):
         top = n - 2 * k0 - k1 + k - 1
         if top >= k - 1 >= 0:
             total += math.comb(top, k - 1)
+    return total
+
+
+def reference_pair_entries(k):
+    """The pair table for ``k``, rebuilt from K = 3 by the three-term
+    recursion, with no table shared between calls."""
+    table = {(1, 1): 1}
+    for kk in range(3, k + 1):
+        nxt = {}
+        for k0, k1 in valid_pairs(kk):
+            nxt[(k0, k1)] = (
+                table.get((k0 - 1, k1), 0) * (kk - k0 - k1)
+                + table.get((k0 - 1, k1 + 1), 0) * (k1 + 1)
+                + table.get((k0, k1 - 1), 0) * k0
+            )
+        table = nxt
+    return tuple(sorted(table.items()))
+
+
+def reference_count_shapes(n, k, entries):
+    """G(N, K) summed pair by pair over ``entries``, the pair table for
+    ``k`` (ignored for k = 1)."""
+    if not 1 <= k <= n - 1:
+        return 0
+    if k == 1:
+        return 1
+    total = 0
+    for (k0, k1), a in entries:
+        top = n - 2 * k0 - k1 + k - 1
+        if top >= k - 1:
+            total += a * math.comb(top, k - 1)
     return total
 
 
@@ -138,6 +172,31 @@ class TestPairTable:
     def test_matches_direct_enumeration(self, k):
         direct = Counter(k0_k1(t) for t in all_t_vectors(k))
         assert dict(direct) == pair_table(k).as_dict()
+
+
+class TestAgainstReference:
+    def test_pair_tables(self):
+        for k in range(2, 41):
+            assert pair_table(k).entries == reference_pair_entries(k), k
+
+    def test_counts(self):
+        for k in range(1, 41):
+            entries = reference_pair_entries(k) if k >= 2 else ()
+            for n in range(2, 61):
+                assert count_shapes(n, k) == reference_count_shapes(n, k, entries), (n, k)
+
+    def test_large_k_needs_no_deep_recursion(self):
+        expected = reference_count_shapes(160, 150, reference_pair_entries(150))
+        enumeration._pair_entries.cache_clear()
+        enumeration._weight_sums.cache_clear()
+        limit = sys.getrecursionlimit()
+        depth = len(inspect.stack(0))
+        sys.setrecursionlimit(depth + 50)
+        try:
+            got = count_shapes(160, 150)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == expected
 
 
 class TestCountShapes:

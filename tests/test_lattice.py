@@ -387,7 +387,38 @@ class TestHasse:
             assert total <= hasse[n].n_vertices * max_degree(n)
 
 
+def reference_diameter(graph):
+    """Diameter by a separate breadth-first search from every vertex."""
+    best = 0
+    for start in range(graph.n_vertices):
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in graph.up[v] + graph.down[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        if len(dist) != graph.n_vertices:
+            raise ValueError("graph is not connected")
+        best = max(best, max(dist.values()))
+    return best
+
+
 class TestDiameter:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_all_pairs_reference(self, n, hasse):
+        assert diameter(hasse[n]) == reference_diameter(hasse[n])
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_is_2n_minus_5(self, n, hasse):
+        g = hasse[n] if n in hasse else lattice.build_hasse(n)
+        assert diameter(g) == 2 * n - 5
+
+    def test_one_and_two_vertices(self, hasse):
+        assert hasse[2].n_vertices == 1 and diameter(hasse[2]) == 0
+        assert hasse[3].n_vertices == 2 and diameter(hasse[3]) == 1
+
     def test_exact_small_values(self, hasse):
         assert diameter(hasse[4]) == 3
         assert diameter(hasse[5]) == 5
@@ -402,5 +433,22 @@ class TestDiameter:
             n=4, vertices=(a, b), up=((), ()), down=((), ()), index={a: 0, b: 1}
         )
         assert g.is_connected() is False
+        with pytest.raises(ValueError, match="not connected"):
+            diameter(g)
+
+    def test_two_components_with_edges(self):
+        # 0 - 1 and 2 - 3 - 4: every vertex has a neighbour, yet no row of
+        # the all-sources search ever fills.
+        shapes = tuple(TreeShape((0,), (m,)) for m in range(2, 7))
+        g = lattice.LatticeGraph(
+            n=0,
+            vertices=shapes,
+            up=((1,), (), (3,), (4,), ()),
+            down=((), (0,), (), (2,), (3,)),
+            index={v: i for i, v in enumerate(shapes)},
+        )
+        assert g.is_connected() is False
+        with pytest.raises(ValueError, match="not connected"):
+            reference_diameter(g)
         with pytest.raises(ValueError, match="not connected"):
             diameter(g)

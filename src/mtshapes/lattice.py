@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from operator import index
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .enumeration import DEFAULT_GENERATION_CAP, generate_all
 from .shapes import InvalidShapeError, TreeShape, collapse_edge, validate_fmatrix
+from .shapes import _as_matrix, _delete_nodes, _fmatrix_vectors
 
 __all__ = [
     "present_edges",
@@ -207,22 +207,13 @@ def max_degree(n: int) -> int:
 # -- least upper bound ------------------------------------------------
 
 
-def _delete(m: np.ndarray, idx) -> np.ndarray:
-    return np.delete(np.delete(m, idx, axis=0), idx, axis=1)
-
-
 def _violating_columns(m: np.ndarray) -> list[int]:
     # A column is bad if, from the diagonal down, consecutive entries
     # drop by 2 or more, or the subdiagonal entry is not diagonal - 1.
-    bad = []
-    k = m.shape[0]
-    for j in range(k):
-        col = m[j:, j]
-        if len(col) >= 2 and (
-            col[0] - 1 != col[1] or np.any(col[:-1] - col[1:] >= 2)
-        ):
-            bad.append(j)
-    return bad
+    drop = m[:-1] - m[1:]
+    bad = ((drop >= 2) & np.tri(*drop.shape, dtype=bool)).any(axis=0)
+    bad[:-1] |= np.diag(drop) != 1
+    return np.flatnonzero(bad).tolist()
 
 
 def lub_fmatrix(fx: np.ndarray, fy: np.ndarray, trace: list | None = None) -> np.ndarray:
@@ -234,29 +225,22 @@ def lub_fmatrix(fx: np.ndarray, fy: np.ndarray, trace: list | None = None) -> np
     every column violating the diagonal-step conditions until a valid
     F-matrix remains.  The trailing entry N is always shared, so the loop
     terminates.  If ``trace`` is a list, the shared submatrix and each
-    subsequent intermediate matrix are appended to it.
+    subsequent intermediate matrix are appended to it.  An input that is
+    not a square, lower-triangular, nonnegative integer matrix raises
+    ``ValueError``.
     """
-    fx = np.asarray(fx, dtype=np.int64)
-    fy = np.asarray(fy, dtype=np.int64)
-    dx, dy = np.diag(fx), np.diag(fy)
+    fx, fy = _as_matrix(fx), _as_matrix(fy)
+    dx, dy = np.diag(fx).tolist(), np.diag(fy).tolist()
     if dx[-1] != dy[-1]:
         raise ValueError("shapes must have the same number of tips")
     shared = set(dx) & set(dy)
-    fx = _delete(fx, [i for i, v in enumerate(dx) if v not in shared])
-    fy = _delete(fy, [i for i, v in enumerate(dy) if v not in shared])
-    differ = [
-        j
-        for j in range(fx.shape[0])
-        if not np.array_equal(fx[:, j], fy[:, j])
-    ]
-    s = _delete(fx, differ)
+    fx = _delete_nodes(fx, [i for i, v in enumerate(dx) if v not in shared])
+    fy = _delete_nodes(fy, [i for i, v in enumerate(dy) if v not in shared])
+    s = _delete_nodes(fx, np.flatnonzero((fx != fy).any(axis=0)))
     if trace is not None:
         trace.append(s.copy())
-    while True:
-        bad = _violating_columns(s)
-        if not bad:
-            break
-        s = _delete(s, bad)
+    while bad := _violating_columns(s):
+        s = _delete_nodes(s, bad)
         if trace is not None:
             trace.append(s.copy())
     if (bad := validate_fmatrix(s)) is not None:
@@ -273,7 +257,8 @@ def lub(a: TreeShape, b: TreeShape) -> TreeShape:
         )
     if a == b:
         return a
-    return TreeShape.from_fmatrix(lub_fmatrix(a.fmatrix(), b.fmatrix()))
+    # lub_fmatrix has checked the matrix, so only the vectors are checked again
+    return TreeShape(*_fmatrix_vectors(lub_fmatrix(a.fmatrix(), b.fmatrix())))
 
 
 def lattice_distance(a: TreeShape, b: TreeShape) -> int:
@@ -318,20 +303,10 @@ class LatticeGraph:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.up[i] + self.down[i]
 
-    def _distances_from(self, start: int) -> dict[int, int]:
-        """BFS distance from ``start`` to every vertex it reaches."""
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in self.neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
-
     def is_connected(self) -> bool:
-        return len(self._distances_from(0)) == self.n_vertices
+        # one search from vertex 0: row i holds whether i has been reached
+        _, reached = _spread(self, np.eye(self.n_vertices, 1, dtype=bool))
+        return bool(reached.all())
 
 
 def build_hasse(n: int, *, cap: int = DEFAULT_GENERATION_CAP) -> LatticeGraph:
@@ -363,27 +338,36 @@ def diameter(graph: LatticeGraph) -> int:
     neighbours.  The diameter is the number of levels that grow some row.
     """
     v = graph.n_vertices
+    # Rows are padded to whole 64-bit words so that each OR acts on words.
+    width = -(-v // 64) * 64
+    reach = np.packbits(np.eye(v, width, dtype=bool), axis=1).view(np.uint64)
+    levels, reach = _spread(graph, reach)
+    full = np.packbits(np.arange(width) < v).view(np.uint64)
+    if not (reach == full).all():
+        raise ValueError("graph is not connected")
+    return levels
+
+
+def _spread(graph: LatticeGraph, reach: np.ndarray) -> tuple[int, np.ndarray]:
+    """OR each vertex's neighbours' rows of ``reach`` into its own row
+    until nothing changes; return the number of levels that changed
+    something and the final rows."""
     plus, minus = graph.degrees()
     deg = plus + minus
     targets = np.fromiter(
-        (j for i in range(v) for j in graph.neighbors(i)), dtype=np.intp, count=int(deg.sum())
+        (j for i in range(graph.n_vertices) for j in graph.neighbors(i)),
+        dtype=np.intp,
+        count=int(deg.sum()),
     )
     # reduceat over the starts of the non-empty neighbour lists only: an
     # isolated vertex has nothing to OR in.
     linked = np.flatnonzero(deg)
     starts = (np.cumsum(deg) - deg)[linked]
-    # Rows are padded to whole 64-bit words so that each OR acts on words.
-    width = -(-v // 64) * 64
-    reach = np.packbits(np.eye(v, width, dtype=bool), axis=1).view(np.uint64)
     levels = 0
     while True:
         grown = reach.copy()
         grown[linked] |= np.bitwise_or.reduceat(reach[targets], starts, axis=0)
         if np.array_equal(grown, reach):
-            break
+            return levels, reach
         reach = grown
         levels += 1
-    full = np.packbits(np.arange(width) < v).view(np.uint64)
-    if not (reach == full).all():
-        raise ValueError("graph is not connected")
-    return levels

@@ -167,37 +167,33 @@ def validate_fmatrix(f, n=None) -> str | None:
     Non-square, non-triangular, or negative input raises ``ValueError``.
     """
     m = _as_matrix(f)
-    k = m.shape[0]
-    d = np.diag(m)
-    if d[0] < 2 or np.any(np.diff(d) <= 0):
+    d = m.diagonal()
+    if d[0] < 2 or (d[1:] <= d[:-1]).any():
         return "F1"
     if n is not None and d[-1] != n:
         return "F1"
-    idx = np.arange(k - 1)
-    if np.any(m[idx + 1, idx] != d[:-1] - 1):
+    if (m.diagonal(-1) != d[:-1] - 1).any():
         return "F1"
+    # drop[i - 1, j] = m[i - 1, j] - m[i, j]: how far column j falls at row i
+    drop = m[:-1] - m[1:]
     # first-column steps for rows 3..K; max(0, prev - 1) <= cur <= prev
-    # is the same as 0 <= prev - cur <= 1 for nonnegative entries
-    step0 = m[1:-1, 0] - m[2:, 0]
-    if np.any((step0 < 0) | (step0 > 1)):
+    # is the same as a drop of 0 or 1 for nonnegative entries
+    if _outside_0_1(drop[1:, 0]):
         return "F2"
     # interior cells: rows 4..K, columns 2..row-2 (1-based)
-    rows, cols = np.indices((k, k))
-    interior = (rows >= 3) & (cols >= 1) & (cols <= rows - 2)
-    left = np.zeros_like(m)
-    left[:, 1:] = m[:, :-1]
-    if np.any(interior & (m < left)):
+    inner = np.tri(len(d), k=-2, dtype=bool)
+    inner[:, 0] = False
+    if (m[:, 1:] < m[:, :-1])[inner[:, 1:]].any():
         return "F3a"
-    up = np.zeros_like(m)
-    up[1:, :] = m[:-1, :]
-    if np.any(interior & ((m < up - 1) | (m > up))):
+    if _outside_0_1(drop[inner[1:]]):
         return "F3b"
-    upleft = np.zeros_like(m)
-    upleft[1:, 1:] = m[:-1, :-1]
-    grid = (up - m) - (upleft - left)
-    if np.any(interior & ((grid < 0) | (grid > 1))):
+    if _outside_0_1((drop[:, 1:] - drop[:, :-1])[inner[1:, 1:]]):
         return "F3c"
     return None
+
+
+def _outside_0_1(x: np.ndarray) -> bool:
+    return bool(((x < 0) | (x > 1)).any())
 
 
 def string_to_dmatrix(t, l) -> np.ndarray:
@@ -230,22 +226,26 @@ def fmatrix_to_string(f):
     bad = validate_fmatrix(m)
     if bad is not None:
         raise InvalidShapeError(bad, "input is not a valid F-matrix")
+    return _fmatrix_vectors(m)
+
+
+def _fmatrix_vectors(m: np.ndarray) -> tuple[_IntVector, _IntVector]:
+    """Decode an int64 F-matrix that ``validate_fmatrix`` accepted.
+
+    Node i + 1's parent is the one column whose per-node count drops by
+    one at row i + 1; the last row holds the leaf counts.
+    """
     k = m.shape[0]
     d = np.diff(m, axis=1, prepend=0)
-    if k == 1:
-        return (0,), (int(d[0, 0]),)
-    drops = (d[:-1, :] - d[1:, :] == 1) & (
-        np.arange(k)[None, :] < np.arange(1, k)[:, None]
-    )
+    drops = (d[:-1] - d[1:] == 1) & np.tri(k - 1, k, dtype=bool)
     counts = drops.sum(axis=1)
     if np.any(counts != 1):
         bad = int(np.flatnonzero(counts != 1)[0]) + 2
         raise InvalidShapeError(
             "F1", f"row {bad} does not decrease exactly one column"
         )
-    t = (0,) + tuple(int(x) + 1 for x in drops.argmax(axis=1))
-    l = tuple(int(x) for x in d[k - 1, :])
-    return t, l
+    t = _IntVector([0] + (drops.argmax(axis=1) + 1).tolist())
+    return t, _IntVector(d[-1].tolist())
 
 
 @dataclass(frozen=True, order=True)
@@ -324,6 +324,10 @@ class TreeShape:
                 raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
         if not isinstance(data, dict) or set(data) != {"t", "l"}:
             raise ParseError('expected an object with keys "t" and "l"', 0)
+        for key in "tl":
+            v = data[key]
+            if not isinstance(v, list) or any(type(x) is not int for x in v):
+                raise ParseError(f'"{key}" must be a list of integers', 0)
         return cls(data["t"], data["l"])
 
     def __str__(self) -> str:
@@ -400,5 +404,9 @@ def collapse_edge_fmatrix(f, e: int) -> np.ndarray:
     _require_edge(k, e)
     if e > 1 and not np.array_equal(m[e - 1, : e - 1], m[e, : e - 1]):
         raise EdgeNotPresentError(f"edge ({e}, {e + 1}) not present")
-    out = np.delete(np.delete(m, e - 1, axis=0), e - 1, axis=1)
-    return out
+    return _delete_nodes(m, e - 1)
+
+
+def _delete_nodes(m: np.ndarray, idx) -> np.ndarray:
+    """``m`` without the rows and columns ``idx`` (0-based node ranks)."""
+    return np.delete(np.delete(m, idx, axis=0), idx, axis=1)

@@ -79,6 +79,20 @@ class TestValidate:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "tree, key",
+        [
+            ('{"t": "0", "l": "4"}', "t"),
+            ('{"t": 0, "l": [4]}', "t"),
+            ('{"t": [0.5], "l": [4]}', "t"),
+            ('{"t": [0], "l": [4.0]}', "l"),
+        ],
+    )
+    def test_json_vectors_of_wrong_type(self, capsys, tree, key):
+        code, out, err = run_cli(capsys, "validate", "--tree", tree)
+        assert (code, out) == (1, "")
+        assert err.startswith(f'error: "{key}" must be a list of integers')
+
 
 class TestConvert:
     def test_to_fmatrix(self, capsys):
@@ -275,6 +289,16 @@ class TestStats:
         code, out, err = run_cli(capsys, "stats", "--in", str(src))
         assert code == 1 and out == ""
         assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "bad", ['{"t": "0", "l": "4"}', '{"t": 0, "l": [4]}', '{"t": [0.5], "l": [4]}']
+    )
+    def test_json_vectors_of_wrong_type(self, capsys, tmp_path, bad):
+        src = tmp_path / "shapes.txt"
+        src.write_text(f"0|4\n\n{bad}\n0|4\n")
+        code, out, err = run_cli(capsys, "stats", "--in", str(src))
+        assert code == 1 and out == ""
+        assert err.startswith('error: line 3: "t" must be a list of integers')
 
     def test_empty_input(self, capsys, tmp_path):
         src = tmp_path / "empty.txt"

@@ -1,7 +1,7 @@
 """Refinement order: edges, degrees, least upper bounds, Hasse graphs."""
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from mtshapes import (
 from mtshapes.chains import ChainState, semi_random_init, step_random_walk
 from mtshapes.lattice import degree, max_degree, refine_node, split_count
 from mtshapes import lattice
+from mtshapes import shapes as shapes_module
 from test_shapes import FX, FY
 
 STAR7 = TreeShape((0,), (7,))
@@ -215,6 +216,57 @@ class TestLub:
         tx, ty = TreeShape.from_fmatrix(FX), TreeShape.from_fmatrix(FY)
         assert lub(tx, ty) == TreeShape((0, 1), (6, 2))
         assert lub(ty, tx) == lub(tx, ty)
+
+    def test_checks_each_encoding_once(self, monkeypatch):
+        tx, ty = TreeShape.from_fmatrix(FX), TreeShape.from_fmatrix(FY)
+        expected = TreeShape((0, 1), (6, 2))
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(shapes_module, "validate_fmatrix")
+        count(lattice, "validate_fmatrix")
+        count(shapes_module, "validate_string")
+        assert lub(tx, ty) == expected
+        assert calls == {"validate_fmatrix": 1, "validate_string": 1}
+
+    @pytest.mark.parametrize(
+        "fx",
+        [
+            [[2.7, 0], [1.2, 3]],  # would truncate to [[2, 0], [1, 3]]
+            [[2, 5], [1, 3]],  # not lower triangular
+        ],
+    )
+    def test_inputs_are_read_as_fmatrices(self, fx):
+        with pytest.raises(ValueError):
+            lub_fmatrix(fx, [[2, 0], [1, 3]])
+        with pytest.raises(ValueError):
+            lub_fmatrix([[2, 0], [1, 3]], fx)
+
+    def test_violating_columns_match_loop(self):
+        # the per-column loop the vectorised pass replaced
+        def reference(m):
+            bad = []
+            for j in range(m.shape[0]):
+                col = m[j:, j]
+                if len(col) >= 2 and (
+                    col[0] - 1 != col[1] or np.any(col[:-1] - col[1:] >= 2)
+                ):
+                    bad.append(j)
+            return bad
+
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            k = int(rng.integers(1, 12))
+            m = np.tril(rng.integers(0, 6, size=(k, k)))
+            assert lattice._violating_columns(m) == reference(m)
 
     def test_identity(self):
         for s in generate_all(6):

@@ -1,6 +1,7 @@
 """Encodings, validation, collapse, and serialization of tree shapes."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -149,6 +150,92 @@ class TestValidateFmatrix:
         }
         generated = {tuple(map(tuple, s.fmatrix().tolist())) for s in all_shapes(n)}
         assert accepted == generated
+
+
+def reference_validate_fmatrix(f, n=None):
+    """The F-rule check on index grids and zero-padded shifted copies,
+    kept as an independent oracle for ``validate_fmatrix``."""
+    m = np.asarray(f, dtype=np.int64)
+    k = m.shape[0]
+    d = np.diag(m)
+    if d[0] < 2 or np.any(np.diff(d) <= 0):
+        return "F1"
+    if n is not None and d[-1] != n:
+        return "F1"
+    idx = np.arange(k - 1)
+    if np.any(m[idx + 1, idx] != d[:-1] - 1):
+        return "F1"
+    step0 = m[1:-1, 0] - m[2:, 0]
+    if np.any((step0 < 0) | (step0 > 1)):
+        return "F2"
+    rows, cols = np.indices((k, k))
+    interior = (rows >= 3) & (cols >= 1) & (cols <= rows - 2)
+    left = np.zeros_like(m)
+    left[:, 1:] = m[:, :-1]
+    if np.any(interior & (m < left)):
+        return "F3a"
+    up = np.zeros_like(m)
+    up[1:, :] = m[:-1, :]
+    if np.any(interior & ((m < up - 1) | (m > up))):
+        return "F3b"
+    upleft = np.zeros_like(m)
+    upleft[1:, 1:] = m[:-1, :-1]
+    grid = (up - m) - (upleft - left)
+    if np.any(interior & ((grid < 0) | (grid > 1))):
+        return "F3c"
+    return None
+
+
+def perturbed_fmatrix(n, k, seed, changes):
+    """A valid F-matrix with some lower-triangle entries shifted by
+    -2..2 (clipped at 0); ``changes`` holds (row, columns left of the
+    diagonal, delta) draws, reduced into the triangle."""
+    m = semi_random_init(n, k, np.random.default_rng(seed)).fmatrix()
+    for row, back, delta in changes:
+        i = row % k
+        j = max(0, i - back)
+        m[i, j] = max(0, m[i, j] + delta)
+    return m
+
+
+class TestValidateFmatrixReference:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_candidate_matches_reference(self, n):
+        for m in fmatrix_candidates(n):
+            assert validate_fmatrix(m, n=n) == reference_validate_fmatrix(m, n=n)
+
+    def test_seeded_perturbations_reach_every_rule(self):
+        rng = np.random.default_rng(8)
+        seen = set()
+        for _ in range(4000):
+            n = int(rng.integers(2, 51))
+            k = int(rng.integers(1, n))
+            # mostly near the diagonal, where the rules meet
+            changes = [
+                (int(rng.integers(k)), int(rng.geometric(0.3)) - 1, int(rng.integers(-2, 3)))
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            m = perturbed_fmatrix(n, k, int(rng.integers(2**32)), changes)
+            got = validate_fmatrix(m)
+            assert got == reference_validate_fmatrix(m)
+            seen.add(got)
+        assert seen == {None, "F1", "F2", "F3a", "F3b", "F3c"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 50),
+        k_frac=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+        changes=st.lists(
+            st.tuples(st.integers(0, 48), st.integers(0, 48), st.integers(-2, 2)),
+            max_size=4,
+        ),
+    )
+    def test_perturbed_matrices_match_reference(self, n, k_frac, seed, changes):
+        k = 1 + int(k_frac * (n - 2))
+        m = perturbed_fmatrix(n, k, seed, changes)
+        assert validate_fmatrix(m) == reference_validate_fmatrix(m)
+        assert validate_fmatrix(m, n=n) == reference_validate_fmatrix(m, n=n)
 
 
 class TestConversions:
@@ -300,6 +387,22 @@ class TestSerialization:
             TreeShape.from_json({"t": [0]})
         with pytest.raises(ParseError):
             TreeShape.from_json({"t": [0], "l": [4], "x": 1})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"t": "0", "l": "4"},
+            {"t": 0, "l": [4]},
+            {"t": [0.5], "l": [4]},
+            {"t": [0], "l": [True]},
+            {"t": [0], "l": None},
+        ],
+    )
+    def test_json_vectors_must_be_integer_lists(self, data):
+        with pytest.raises(ParseError, match="must be a list of integers"):
+            TreeShape.from_json(data)
+        with pytest.raises(ParseError, match="must be a list of integers"):
+            TreeShape.from_json(json.dumps(data))
 
     def test_invalid_shape_is_not_parse_error(self):
         with pytest.raises(InvalidShapeError) as err:

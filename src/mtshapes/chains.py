@@ -194,12 +194,9 @@ _STEPPERS = {
 }
 
 
-def _run_one_chain(n, sampler, n_steps, thin, init_shape, seed_seq):
+def _run_one_chain(n, sampler, n_steps, thin, k, seed_seq):
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    if isinstance(init_shape, int):  # draw a semi-random start with k = init_shape
-        state = ChainState(semi_random_init(n, init_shape, rng))
-    else:
-        state = ChainState(init_shape)
+    state = ChainState(semi_random_init(n, k, rng))
     stepper = _STEPPERS[sampler]
     out = []
     for s in range(1, n_steps + 1):
@@ -216,16 +213,15 @@ def run_chains(
     n_chains: int,
     n_steps: int,
     seed: int,
-    init="semi-random",
     thin: int = 1,
     threads: int = 1,
 ) -> RunResult:
     """Run independent chains with per-chain RNG streams spawned from one
     seed; the output is identical however the chains are scheduled.
 
-    ``init`` is either ``"semi-random"`` (chain i starts at a semi-random
-    shape with (i mod (N-1)) + 1 internal nodes, drawn from that chain's
-    own stream), a single TreeShape, or one TreeShape per chain.
+    Chain i starts at a semi-random shape with (i mod (N-1)) + 1 internal
+    nodes, drawn from that chain's own stream.  To start from a chosen
+    shape, step a ``ChainState`` directly.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -233,19 +229,12 @@ def run_chains(
         raise ValueError(f"sampler must be one of {tuple(_STEPPERS)}, got {sampler!r}")
     if n_chains < 1 or n_steps < 1 or thin < 1:
         raise ValueError("n_chains, n_steps and thin must be positive")
-    if init == "semi-random":
-        inits = [(i % (n - 1)) + 1 for i in range(n_chains)]
-    elif isinstance(init, TreeShape):
-        if init.n_tips != n:
-            raise ValueError(f"init shape has {init.n_tips} tips, expected {n}")
-        inits = [init] * n_chains
-    else:
-        inits = list(init)
-        if len(inits) != n_chains or any(s.n_tips != n for s in inits):
-            raise ValueError("init must provide one n-tip shape per chain")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     seqs = np.random.SeedSequence(seed).spawn(n_chains)
     jobs = [
-        (n, sampler, n_steps, thin, inits[i], seqs[i]) for i in range(n_chains)
+        (n, sampler, n_steps, thin, (i % (n - 1)) + 1, seqs[i])
+        for i in range(n_chains)
     ]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -419,8 +408,9 @@ def mixing_bounds(n: int, *, include_exact: bool = False) -> BoundReport:
     * random-walk lower bound (diameter/2) = N - 3;
     * lazy random-walk upper bound 8 log(4 M_N G(N)).
 
-    With ``include_exact`` (small n only) the report also carries the
-    exhaustive bottleneck ratios, lazy spectral gaps, and the diameter.
+    With ``include_exact`` (n <= 8) the report also carries the lazy
+    spectral gaps and the diameter, and the exhaustive bottleneck ratios
+    while the space has at most ``MAX_BOTTLENECK_VERTICES`` shapes (n <= 5).
     """
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
@@ -441,12 +431,11 @@ def mixing_bounds(n: int, *, include_exact: bool = False) -> BoundReport:
         graph = build_hasse(n)
         exact = {"diameter": _diameter(graph)}
         for kind in KINDS:
-            phi = exact_bottleneck(graph, kind).phi_star
+            exact[kind] = {}
+            # As in `exact`, the ratio is omitted where subsets are refused.
+            if graph.n_vertices <= MAX_BOTTLENECK_VERTICES:
+                exact[kind]["phi_star"] = float(exact_bottleneck(graph, kind).phi_star)
             gap = exact_gap(graph, kind, lazy=True)
-            exact[kind] = {
-                "phi_star": float(phi),
-                "lazy_gamma": gap.gamma,
-                "lazy_t_rel": gap.t_rel,
-            }
+            exact[kind].update(lazy_gamma=gap.gamma, lazy_t_rel=gap.t_rel)
         report.exact = exact
     return report

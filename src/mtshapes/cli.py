@@ -4,7 +4,8 @@ One executable with a subcommand per capability.  Data goes to stdout,
 diagnostics to stderr; exit status is 0 on success, 1 on a domain error
 (invalid shape, absent edge, out-of-range argument), 2 on a usage error.
 Every stochastic subcommand requires an explicit --seed and its output
-is a pure function of the argument vector.
+is a pure function of the argument vector.  An unreadable or unwritable
+file is a domain error too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .chains import (
 )
 from .coalescent import BetaMeasure, sample_topologies
 from .enumeration import (
-    DEFAULT_GENERATION_CAP,
     count_shapes,
     count_space,  # noqa: F401  (perfbench/tracing.py patches cli.count_space)
 )
@@ -189,7 +189,7 @@ def cmd_degree(args) -> int:
 
 
 def cmd_hasse(args) -> int:
-    graph = build_hasse(args.n, cap=args.cap)
+    graph = build_hasse(args.n)
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
         texts = [v.to_text() for v in graph.vertices]
@@ -266,10 +266,7 @@ def cmd_sample_uniform(args) -> int:
 
 
 def cmd_sample_coalescent(args) -> int:
-    if args.alpha is not None:
-        measure = BetaMeasure.from_alpha(args.alpha)
-    else:
-        measure = BetaMeasure(args.a, args.b)
+    measure = BetaMeasure.from_alpha(args.alpha)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     for shape in sample_topologies(args.n, measure, args.count, rng):
         _emit(shape.to_text())
@@ -370,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         "hasse", help="covering relations as 'parent TAB child' lines"
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_GENERATION_CAP)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_hasse)
 
@@ -404,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sample-coalescent", help="Beta-measure coalescent topologies"
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, help="use the Beta(2-a, a) family")
+    p.add_argument(
+        "--alpha", type=float, default=1.0, help="Beta(2-alpha, alpha) measure"
+    )
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_sample_coalescent)
@@ -434,11 +430,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         return 0
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-from math import exp, lgamma
+from math import exp, inf, lgamma
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "UNIFORM_MEASURE",
     "merger_rate",
     "merger_distribution",
-    "sample_topology",
     "sample_topologies",
 ]
 
@@ -42,8 +41,10 @@ class BetaMeasure:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError(f"shape parameters must be positive, got {self}")
+        if not all(0 < x < inf for x in (self.a, self.b)):
+            raise ValueError(
+                f"shape parameters must be finite and positive, got {self}"
+            )
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "BetaMeasure":
@@ -104,13 +105,6 @@ def _cumulative_weights(n_lineages: int, measure: BetaMeasure) -> list[float]:
     """Running sums of ``merger_distribution`` as a plain list, for
     drawing the merger size with one uniform and a bisection."""
     return list(accumulate(merger_distribution(n_lineages, measure).tolist()))
-
-
-def sample_topology(
-    n: int, measure: BetaMeasure, rng: np.random.Generator
-) -> TreeShape:
-    """Draw one ranked multifurcating shape with ``n`` tips."""
-    return sample_topologies(n, measure, 1, rng)[0]
 
 
 def sample_topologies(

@@ -9,7 +9,8 @@ small double sum over that table.  All arithmetic is exact (Python ints).
 
 ``generate_all`` is the brute-force oracle: it streams every shape once,
 in deterministic lexicographic order, and is what the rest of the library
-is tested against for small N.
+is tested against for small N.  It refuses any request whose exact shape
+count exceeds ``MAX_GENERATED_SHAPES``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator
 from .shapes import TreeShape, _child_counts, _min_leaves
 
 __all__ = [
-    "DEFAULT_GENERATION_CAP",
+    "MAX_GENERATED_SHAPES",
     "PairTable",
     "k0_k1",
     "valid_pairs",
@@ -35,8 +36,8 @@ __all__ = [
     "generate_all",
 ]
 
-#: Largest N that generate_all accepts unless the caller raises the cap.
-DEFAULT_GENERATION_CAP = 9
+#: Most shapes generate_all yields: the full space up to N = 9 (6092 shapes).
+MAX_GENERATED_SHAPES = 10_000
 
 
 def k0_k1(t) -> tuple[int, int]:
@@ -71,9 +72,6 @@ class PairTable:
 
     k: int
     entries: tuple[tuple[tuple[int, int], int], ...]
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.entries)
 
     def row_sums(self) -> dict[int, int]:
         """Total vectors per k0 (the Eulerian numbers E(K-1, k0))."""
@@ -204,26 +202,34 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def generate_all(
-    n: int, k: int | None = None, *, cap: int = DEFAULT_GENERATION_CAP
-) -> Iterator[TreeShape]:
+def generate_all(n: int, k: int | None = None) -> Iterator[TreeShape]:
     """Stream every shape with ``n`` tips (optionally fixed ``k``) exactly
     once, in lexicographic order on (K, t, l).
 
-    Refuses n above ``cap`` (default 9) because the space grows
-    superexponentially; pass a larger cap explicitly to override.
+    Refuses a request whose exact shape count (``count_space(n)``, or
+    ``count_shapes(n, k)``) exceeds ``MAX_GENERATED_SHAPES``; that count
+    is known before any shape is built.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if n > cap:
+    ks = [kk for kk in (range(1, n) if k is None else [k]) if 1 <= kk <= n - 1]
+    # Parent vectors with t_i in {i-2, i-1} give no node more than two
+    # internal children, so each fits in K + 1 <= n tips: G(n, K) >= 2^(K-2).
+    # A K past the cap by that bound is refused before its table is built.
+    top = max(ks, default=1)
+    if 2 ** (top - 2) > MAX_GENERATED_SHAPES:
+        size = f"at least 2^{top - 2}"
+    elif (total := sum(count_shapes(n, kk) for kk in ks)) > MAX_GENERATED_SHAPES:
+        size = str(total)
+    else:
+        size = None
+    if size is not None:
+        where = f"n={n}" if k is None else f"n={n}, k={k}"
         raise ValueError(
-            f"exhaustive generation is capped at n={cap} (got n={n}); "
-            "pass cap= to raise the limit"
+            f"exhaustive generation at {where} yields {size} shapes; "
+            f"cap is MAX_GENERATED_SHAPES = {MAX_GENERATED_SHAPES}"
         )
-    ks = range(1, n) if k is None else [k]
     for kk in ks:
-        if not 1 <= kk <= n - 1:
-            continue
         for t in _t_vectors(kk):
             mins = _min_leaves(t)
             spare = n - sum(mins)

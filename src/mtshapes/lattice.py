@@ -19,7 +19,7 @@ from operator import index
 
 import numpy as np
 
-from .enumeration import DEFAULT_GENERATION_CAP, generate_all
+from .enumeration import generate_all
 from .shapes import InvalidShapeError, TreeShape, collapse_edge, validate_fmatrix
 from .shapes import _as_matrix, _delete_nodes, _fmatrix_vectors
 
@@ -309,9 +309,10 @@ class LatticeGraph:
         return bool(reached.all())
 
 
-def build_hasse(n: int, *, cap: int = DEFAULT_GENERATION_CAP) -> LatticeGraph:
-    """Materialize the covering graph over every shape with ``n`` tips."""
-    vertices = tuple(generate_all(n, cap=cap))
+def build_hasse(n: int) -> LatticeGraph:
+    """Materialize the covering graph over every shape with ``n`` tips
+    (``generate_all``'s cap applies: N <= 9)."""
+    vertices = tuple(generate_all(n))
     index = {v: i for i, v in enumerate(vertices)}
     up = tuple(
         tuple(sorted(index[c] for c in covers(v))) for v in vertices

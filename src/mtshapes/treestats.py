@@ -26,9 +26,6 @@ class ShapeStats(NamedTuple):
     avg_block: float
     cherries: tuple[tuple[int, int], ...]  # (m, count), ascending m
 
-    def cherry_count(self, m: int) -> int:
-        return dict(self.cherries).get(m, 0)
-
 
 def shape_stats(shape: TreeShape) -> ShapeStats:
     """Block-size and cherry statistics of a single shape, in one pass

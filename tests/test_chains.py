@@ -414,6 +414,27 @@ class TestRunChains:
         assert a.samples == b.samples == c.samples
         assert a.acceptance_rates == c.acceptance_rates
 
+    def test_chain_i_starts_semi_random_with_k_cycling(self):
+        # the start and steps of chain i, replayed by hand from its stream
+        n, n_chains, seed = 5, 6, 12
+        r = run_chains(n, "symmetric", n_chains=n_chains, n_steps=3, seed=seed)
+        for i, seq in enumerate(np.random.SeedSequence(seed).spawn(n_chains)):
+            rng = np.random.Generator(np.random.PCG64(seq))
+            state = ChainState(semi_random_init(n, (i % (n - 1)) + 1, rng))
+            path = [step_symmetric(state, rng).shape for _ in range(3)]
+            assert r.samples[i] == path
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_must_be_positive(self, threads):
+        with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
+            run_chains(5, n_chains=1, n_steps=1, seed=0, threads=threads)
+
+    @pytest.mark.parametrize("field", ["n_chains", "n_steps", "thin"])
+    def test_counts_must_be_positive(self, field):
+        kw = dict(n_chains=1, n_steps=1, thin=1) | {field: 0}
+        with pytest.raises(ValueError, match="^n_chains, n_steps and thin must be positive$"):
+            run_chains(5, seed=0, **kw)
+
     def test_pooled_size_with_thinning(self):
         r = run_chains(6, "random-walk", n_chains=3, n_steps=100, seed=1, thin=10)
         assert [len(s) for s in r.samples] == [10, 10, 10]
@@ -422,14 +443,6 @@ class TestRunChains:
     def test_semi_random_init_cycles_k(self):
         r = run_chains(6, "random-walk", n_chains=5, n_steps=1, seed=5)
         assert len(r.samples) == 5
-
-    def test_explicit_init(self):
-        star = TreeShape((0,), (6,))
-        r = run_chains(6, "symmetric", n_chains=2, n_steps=5, seed=0, init=star)
-        assert all(len(chain) == 5 for chain in r.samples)
-        bad = TreeShape((0,), (5,))
-        with pytest.raises(ValueError):
-            run_chains(6, "symmetric", n_chains=1, n_steps=1, seed=0, init=bad)
 
     def test_acceptance_rates_only_for_mh(self):
         r = run_chains(6, "random-walk", n_chains=2, n_steps=10, seed=3)
@@ -604,6 +617,13 @@ class TestGapAndBounds:
         b = mixing_bounds(n)
         assert b.symmetric_lower <= b.symmetric_lazy_upper
         assert b.random_walk_lower <= b.random_walk_lazy_upper
+
+    def test_include_exact_beyond_subset_cap(self, hasse):
+        b = mixing_bounds(6, include_exact=True)
+        assert b.exact["diameter"] == 7
+        for kind in ("symmetric", "random-walk"):
+            gap = exact_gap(hasse[6], kind, lazy=True)
+            assert b.exact[kind] == {"lazy_gamma": gap.gamma, "lazy_t_rel": gap.t_rel}
 
     def test_include_exact(self):
         b = mixing_bounds(5, include_exact=True)

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, and reproducibility."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -9,7 +10,7 @@ import pytest
 
 from mtshapes import TreeShape, count_space, covers, generate_all
 from mtshapes.chains import MAX_KERNEL_BYTES
-from mtshapes.cli import main
+from mtshapes.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +175,17 @@ class TestBoundsAndExact:
         assert data["phi_star_exact"] == "1/2"
         assert data["diameter"] == 3
 
+    def test_bounds_exact_beyond_subset_cap(self, capsys):
+        # N = 6 has 54 shapes, past MAX_BOTTLENECK_VERTICES: no phi_star,
+        # as in `exact`, but the gaps and the diameter are reported.
+        code, out, err = run_cli(capsys, "bounds", "--n", "6", "--exact", "--json")
+        assert (code, err) == (0, "")
+        exact = json.loads(out)["exact"]
+        assert exact["diameter"] == 7
+        for kind in ("symmetric", "random-walk"):
+            assert set(exact[kind]) == {"lazy_gamma", "lazy_t_rel"}
+            assert 0 < exact[kind]["lazy_gamma"] < 1
+
     def test_exact_n9_exceeds_kernel_cap(self, capsys):
         code, out, err = run_cli(capsys, "exact", "--n", "9", "--chain", "rw")
         assert code == 1 and out == ""
@@ -208,6 +220,12 @@ class TestSampling:
         assert out1 == out2
         shapes = [TreeShape.from_text(ln) for ln in out1.strip().splitlines()]
         assert len(shapes) == 5 and all(s.n_tips == 9 for s in shapes)
+
+    def test_coalescent_default_is_alpha_one(self, capsys):
+        args = ["sample-coalescent", "--n", "12", "--count", "20", "--seed", "3"]
+        _, out1, _ = run_cli(capsys, *args)
+        _, out2, _ = run_cli(capsys, *args, "--alpha", "1.0")
+        assert out1 == out2
 
     def test_coalescent_alpha_alias(self, capsys):
         code, out, _ = run_cli(
@@ -317,3 +335,69 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+# Every option each subcommand accepts (-h aside); a new flag must be added
+# here on purpose.
+OPTION_CENSUS = {
+    None: ("--version",),
+    "enumerate": ("--n", "--json"),
+    "validate": ("--tree",),
+    "convert": ("--tree", "--to"),
+    "lub": ("--a", "--b", "--json"),
+    "distance": ("--a", "--b", "--json"),
+    "degree": ("--tree", "--json"),
+    "hasse": ("--n", "--out"),
+    "bounds": ("--n", "--exact", "--json"),
+    "exact": ("--n", "--chain", "--lazy", "--json"),
+    "sample-uniform": (
+        "--n", "--chains", "--steps", "--thin", "--seed", "--threads", "--jsonl",
+    ),
+    "sample-coalescent": ("--n", "--alpha", "--count", "--seed"),
+    "semi-random": ("--n", "--k", "--count", "--seed"),
+    "stats": ("--in", "--json", "--summary-out", "--max-cherry"),
+}
+
+
+def _options(parser):
+    return tuple(
+        opt
+        for action in parser._actions
+        if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+        for opt in action.option_strings
+    )
+
+
+def test_option_census():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    census = {None: _options(parser)}
+    census.update((name, _options(p)) for name, p in sub.choices.items())
+    assert census == OPTION_CENSUS
+    assert sum(map(len, census.values())) == 42
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--in", "{tmp}/missing.txt"],
+        ["hasse", "--n", "4", "--out", "{tmp}/missing/dir/x"],
+        ["lub", "--a", "{tmp}", "--b", "0|4"],
+        ["hasse", "--n", "10"],
+        ["bounds", "--n", "10", "--exact"],
+        ["sample-uniform", "--n", "5", "--chains", "2", "--steps", "3",
+         "--seed", "1", "--threads", "0"],
+        ["sample-uniform", "--n", "5", "--chains", "2", "--steps", "3",
+         "--seed", "1", "--threads", "-3"],
+        ["sample-coalescent", "--n", "5", "--alpha", "inf", "--count", "1",
+         "--seed", "1"],
+    ],
+    ids=[
+        "stats-missing-file", "hasse-missing-dir", "lub-directory", "hasse-n10",
+        "bounds-n10-exact", "threads-0", "threads-negative", "alpha-inf",
+    ],
+)
+def test_error_contract(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -18,7 +18,7 @@ from mtshapes import (
     sample_topologies,
     validate_string,
 )
-from mtshapes.coalescent import merger_distribution, merger_rate, sample_topology
+from mtshapes.coalescent import merger_distribution, merger_rate
 
 
 def rng_from(seed):
@@ -111,6 +111,11 @@ class TestBetaMeasure:
             BetaMeasure(0, 1)
         with pytest.raises(ValueError):
             BetaMeasure(1, -2)
+
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_parameters_must_be_finite(self, a, b):
+        with pytest.raises(ValueError, match="finite and positive"):
+            BetaMeasure(a, b)
 
     def test_alpha_family(self):
         assert BetaMeasure.from_alpha(1.0) == UNIFORM_MEASURE
@@ -212,7 +217,8 @@ class TestSampleTopology:
     def test_two_tips(self):
         rng = rng_from(0)
         for _ in range(5):
-            assert sample_topology(2, UNIFORM_MEASURE, rng) == TreeShape((0,), (2,))
+            shape = sample_topologies(2, UNIFORM_MEASURE, 1, rng)[0]
+            assert shape == TreeShape((0,), (2,))
 
     def test_three_tips_star_probability(self):
         rng = rng_from(1)
@@ -292,7 +298,7 @@ class TestSampleTopology:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            sample_topology(1, UNIFORM_MEASURE, rng_from(0))
+            sample_topologies(1, UNIFORM_MEASURE, 1, rng_from(0))[0]
         with pytest.raises(ValueError):
             sample_topologies(5, UNIFORM_MEASURE, 0, rng_from(0))
 

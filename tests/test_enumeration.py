@@ -16,8 +16,9 @@ from mtshapes import (
     generate_all,
     pair_table,
 )
-from mtshapes import enumeration
+from mtshapes import build_hasse, enumeration
 from mtshapes.enumeration import k0_k1, valid_pairs
+from mtshapes.shapes import _min_leaves
 
 # Per-K counts, checked against the published table and against two
 # independent oracles below.  The published per-N totals disagree with
@@ -144,7 +145,7 @@ class TestValidPairs:
 
 class TestPairTable:
     def test_k4(self):
-        assert pair_table(4).as_dict() == {(1, 3): 1, (2, 1): 4, (3, 0): 1}
+        assert dict(pair_table(4).entries) == {(1, 3): 1, (2, 1): 4, (3, 0): 1}
 
     def test_k8_sequence(self):
         assert [v for _, v in pair_table(8).entries] == K8_SEQUENCE
@@ -164,14 +165,14 @@ class TestPairTable:
 
     @pytest.mark.parametrize("k", range(3, 12))
     def test_extreme_entries_are_one(self, k):
-        table = pair_table(k).as_dict()
+        table = dict(pair_table(k).entries)
         assert table[(1, k - 1)] == 1
         assert table[(k - 1, 0)] == 1
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_matches_direct_enumeration(self, k):
         direct = Counter(k0_k1(t) for t in all_t_vectors(k))
-        assert dict(direct) == pair_table(k).as_dict()
+        assert dict(direct) == dict(pair_table(k).entries)
 
 
 class TestAgainstReference:
@@ -321,12 +322,44 @@ class TestGenerateAll:
         distinct = Counter(
             k0_k1(t) for t in {s.t for s in generate_all(8, 5)}
         )
-        assert dict(distinct) == pair_table(5).as_dict()
+        assert dict(distinct) == dict(pair_table(5).entries)
 
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
             list(generate_all(10))
-        assert sum(1 for _ in generate_all(10, 2, cap=10)) == 8
+        assert sum(1 for _ in generate_all(10, 2)) == 8
+
+    def test_cap_is_a_shape_count(self):
+        cap = enumeration.MAX_GENERATED_SHAPES
+        assert count_space(9) <= cap < count_space(10)
+        with pytest.raises(ValueError, match=r"^exhaustive generation at n=10 yields 37388 shapes"):
+            next(generate_all(10))
+        with pytest.raises(ValueError, match="37388 shapes"):
+            build_hasse(10)
+        with pytest.raises(ValueError, match="n=12, k=8 yields 255386 shapes"):
+            next(generate_all(12, 8))
+        assert sum(1 for _ in generate_all(30, 3)) == count_shapes(30, 3)
+
+    def test_large_k_refused_before_counting(self):
+        # 2^(K-2) passes the cap at K = 16; no pair table that size is built
+        enumeration._pair_entries.cache_clear()
+        with pytest.raises(ValueError, match=r"n=1000, k=500 yields at least 2\^498 shapes"):
+            next(generate_all(1000, 500))
+        with pytest.raises(ValueError, match=r"n=400 yields at least 2\^397 shapes"):
+            next(generate_all(400))
+        assert enumeration._pair_entries.cache_info().currsize <= 15
+
+    def test_lower_bound_behind_refusal(self):
+        # The 2^(K-2) parent vectors with t_i in {i-2, i-1} each need exactly
+        # K + 1 tips, so G(n, K) >= 2^(K-2) for every n > K.
+        for k in range(2, 10):
+            heads = itertools.product(*([i - 2, i - 1] for i in range(3, k + 1)))
+            for rest in heads:
+                t = (0, 1) + rest
+                assert sum(_min_leaves(t)) == k + 1
+        for n in range(3, 15):
+            for k in range(2, n):
+                assert count_shapes(n, k) >= 2 ** (k - 2)
 
     def test_deterministic_order(self):
         shapes = list(generate_all(6))

@@ -28,7 +28,6 @@ class TestShapeStats:
         assert st.max_block == 4
         assert st.avg_block == pytest.approx((12 + 5 - 1) / 5)
         assert st.cherries == ((3, 2),)
-        assert st.cherry_count(2) == 0 and st.cherry_count(3) == 2
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_block_sum_identity(self, n):

@@ -15,7 +15,7 @@ collapse or one concrete node split.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -206,6 +206,12 @@ def _run_one_chain(n, sampler, n_steps, thin, k, seed_seq):
     return out, state.acceptance_rate
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_chains(
     n: int,
     sampler: str = "mh-uniform",
@@ -222,6 +228,10 @@ def run_chains(
     Chain i starts at a semi-random shape with (i mod (N-1)) + 1 internal
     nodes, drawn from that chain's own stream.  To start from a chosen
     shape, step a ``ChainState`` directly.
+
+    ``threads`` runs the chains in up to min(threads, n_chains, usable
+    CPUs) forked worker processes, with output identical to a serial run.
+    Where fork is unavailable, the chains run serially.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -236,9 +246,16 @@ def run_chains(
         (n, sampler, n_steps, thin, (i % (n - 1)) + 1, seqs[i])
         for i in range(n_chains)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: _run_one_chain(*a), jobs))
+    workers = min(threads, n_chains, _usable_cpus())
+    if workers > 1:
+        # Imported here so that `import mtshapes.cli` does not pay for it.
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = pool.starmap(_run_one_chain, jobs, chunksize=1)
     else:
         results = [_run_one_chain(*a) for a in jobs]
     return RunResult(
@@ -436,6 +453,6 @@ def mixing_bounds(n: int, *, include_exact: bool = False) -> BoundReport:
             if graph.n_vertices <= MAX_BOTTLENECK_VERTICES:
                 exact[kind]["phi_star"] = float(exact_bottleneck(graph, kind).phi_star)
             gap = exact_gap(graph, kind, lazy=True)
-            exact[kind].update(lazy_gamma=gap.gamma, lazy_t_rel=gap.t_rel)
+            exact[kind].update(lazy_gamma=float(gap.gamma), lazy_t_rel=float(gap.t_rel))
         report.exact = exact
     return report

@@ -32,6 +32,7 @@ from .chains import (
 )
 from .coalescent import BetaMeasure, sample_topologies
 from .enumeration import (
+    _check_count_tips,
     count_shapes,
     count_space,  # noqa: F401  (perfbench/tracing.py patches cli.count_space)
 )
@@ -102,8 +103,7 @@ def _emit_record(record: dict, as_json: bool):
 
 
 def cmd_enumerate(args) -> int:
-    if args.n < 2:
-        raise ValueError(f"n must be >= 2, got {args.n}")
+    _check_count_tips(args.n)
     ns = range(2, args.n + 1)
     ks = range(1, args.n)
     # Each total is its row sum, so no count is computed twice.

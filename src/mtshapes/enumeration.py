@@ -24,6 +24,7 @@ from typing import Iterator
 from .shapes import TreeShape, _child_counts, _min_leaves
 
 __all__ = [
+    "MAX_COUNT_TIPS",
     "MAX_GENERATED_SHAPES",
     "PairTable",
     "k0_k1",
@@ -38,6 +39,11 @@ __all__ = [
 
 #: Most shapes generate_all yields: the full space up to N = 9 (6092 shapes).
 MAX_GENERATED_SHAPES = 10_000
+
+#: Largest N that count_space and ``mtshapes enumerate`` accept.  Counting
+#: at N fills pair tables of about N^3/12 entries that stay cached for the
+#: life of the process: 95 MB at N = 150, 779 MB at N = 300.
+MAX_COUNT_TIPS = 150
 
 
 def k0_k1(t) -> tuple[int, int]:
@@ -148,10 +154,17 @@ def _weight_sums(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(sums.items()))
 
 
-def count_space(n: int) -> int:
-    """Exact number of shapes with ``n`` tips, over all K."""
+def _check_count_tips(n: int) -> None:
+    """Refuse an ``n`` outside 2..``MAX_COUNT_TIPS`` before any table is built."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    if n > MAX_COUNT_TIPS:
+        raise ValueError(f"n must be <= MAX_COUNT_TIPS = {MAX_COUNT_TIPS}, got {n}")
+
+
+def count_space(n: int) -> int:
+    """Exact number of shapes with ``n`` tips, over all K (n <= MAX_COUNT_TIPS)."""
+    _check_count_tips(n)
     return sum(count_shapes(n, k) for k in range(1, n))
 
 

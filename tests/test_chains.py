@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import multiprocessing
 from collections import Counter
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from mtshapes import (
     validate_fmatrix,
     validate_string,
 )
+from mtshapes import chains
 from mtshapes.chains import (
     ChainState,
     random_below,
@@ -286,6 +288,69 @@ def test_seeded_stream_is_pinned(sampler, n):
         h.update(("\n".join(s.to_text() for s in chain) + "\n--\n").encode())
     h.update(repr(r.acceptance_rates).encode())
     assert h.hexdigest() == GOLDEN_STREAMS[sampler, n]
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Two usable CPUs whatever the host has; records each pool context made."""
+    monkeypatch.setattr(chains, "_usable_cpus", lambda: 2)
+    started = []
+    real = multiprocessing.get_context
+
+    def get_context(method=None):
+        started.append(method)
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    return started
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    def get_context(method=None):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+class TestWorkerProcesses:
+    @pytest.mark.parametrize("threads", [2, 5], ids=["threads-2", "threads-over-chains"])
+    @pytest.mark.parametrize("sampler, n", list(GOLDEN_STREAMS))
+    def test_pinned_stream_reproduced(self, sampler, n, threads, pool_starts):
+        r = run_chains(n, sampler, n_chains=3, n_steps=400, seed=2506, threads=threads)
+        h = hashlib.sha256()
+        for chain in r.samples:
+            h.update(("\n".join(s.to_text() for s in chain) + "\n--\n").encode())
+        h.update(repr(r.acceptance_rates).encode())
+        assert h.hexdigest() == GOLDEN_STREAMS[sampler, n]
+        assert pool_starts == ["fork"]
+
+    def test_worker_error_reaches_caller(self, pool_starts):
+        with pytest.raises(ValueError, match="^n must be >= 4, got 3$"):
+            run_chains(3, "symmetric", n_chains=2, n_steps=1, seed=0, threads=2)
+        assert pool_starts == ["fork"]
+
+
+class TestSerialFallback:
+    kw = dict(n_chains=3, n_steps=50, seed=7)
+
+    def test_one_usable_cpu(self, monkeypatch, no_pool):
+        monkeypatch.setattr(chains, "_usable_cpus", lambda: 1)
+        serial = run_chains(8, **self.kw)
+        assert run_chains(8, threads=4, **self.kw) == serial
+
+    def test_one_chain(self, monkeypatch, no_pool):
+        monkeypatch.setattr(chains, "_usable_cpus", lambda: 4)
+        kw = self.kw | {"n_chains": 1}
+        assert run_chains(8, threads=4, **kw) == run_chains(8, **kw)
+
+    def test_no_fork_start_method(self, monkeypatch, no_pool):
+        monkeypatch.setattr(chains, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert run_chains(8, threads=4, **self.kw) == run_chains(8, **self.kw)
 
 
 class TestSteps:

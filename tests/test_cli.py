@@ -11,6 +11,7 @@ import pytest
 from mtshapes import TreeShape, count_space, covers, generate_all
 from mtshapes.chains import MAX_KERNEL_BYTES
 from mtshapes.cli import build_parser, main
+from mtshapes.enumeration import MAX_COUNT_TIPS, _pair_entries
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +35,13 @@ class TestEnumerate:
     def test_too_few_tips(self, capsys, n):
         code, out, err = run_cli(capsys, "enumerate", "--n", n)
         assert (code, out, err) == (1, "", f"error: n must be >= 2, got {n}\n")
+
+    def test_past_count_cap_refused_before_any_table(self, capsys):
+        _pair_entries.cache_clear()
+        code, out, err = run_cli(capsys, "enumerate", "--n", str(MAX_COUNT_TIPS + 1))
+        assert (code, out) == (1, "")
+        assert err == "error: n must be <= MAX_COUNT_TIPS = 150, got 151\n"
+        assert _pair_entries.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -167,6 +175,14 @@ class TestBoundsAndExact:
         assert data["m_n"] == 5 and data["g_n"] == 15
         assert data["random_walk_lower"] == 2.0
 
+    def test_bounds_exact_text_prints_plain_floats(self, capsys):
+        _, out, _ = run_cli(capsys, "bounds", "--n", "5", "--exact", "--json")
+        exact = json.loads(out)["exact"]
+        code, out, _ = run_cli(capsys, "bounds", "--n", "5", "--exact")
+        assert code == 0
+        assert out.splitlines()[-1] == f"exact: {exact!r}"
+        assert "np.float64" not in out
+
     def test_exact_random_walk(self, capsys):
         _, out, _ = run_cli(capsys, "exact", "--n", "4", "--chain", "rw", "--json")
         data = json.loads(out)
@@ -202,6 +218,13 @@ class TestSampling:
         assert len(out1.strip().splitlines()) == 12
         for line in out1.strip().splitlines():
             assert TreeShape.from_text(line).n_tips == 6
+
+    def test_uniform_n20_threads_match_serial(self, capsys):
+        args = ["sample-uniform", "--n", "20", "--chains", "5", "--steps", "200",
+                "--thin", "2", "--seed", "1234"]
+        serial = run_cli(capsys, *args)
+        assert serial[0] == 0 and serial[2].startswith("acceptance rates: ")
+        assert run_cli(capsys, *args, "--threads", "2") == serial
 
     def test_uniform_jsonl(self, capsys):
         _, out, _ = run_cli(
@@ -385,6 +408,7 @@ def test_option_census():
         ["lub", "--a", "{tmp}", "--b", "0|4"],
         ["hasse", "--n", "10"],
         ["bounds", "--n", "10", "--exact"],
+        ["bounds", "--n", "151"],
         ["sample-uniform", "--n", "5", "--chains", "2", "--steps", "3",
          "--seed", "1", "--threads", "0"],
         ["sample-uniform", "--n", "5", "--chains", "2", "--steps", "3",
@@ -394,7 +418,7 @@ def test_option_census():
     ],
     ids=[
         "stats-missing-file", "hasse-missing-dir", "lub-directory", "hasse-n10",
-        "bounds-n10-exact", "threads-0", "threads-negative", "alpha-inf",
+        "bounds-n10-exact", "bounds-past-count-cap", "threads-0", "threads-negative", "alpha-inf",
     ],
 )
 def test_error_contract(capsys, tmp_path, argv):

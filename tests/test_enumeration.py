@@ -200,6 +200,15 @@ class TestAgainstReference:
         assert got == expected
 
 
+class TestCountCap:
+    def test_count_space_refuses_past_cap_before_any_table(self):
+        enumeration._pair_entries.cache_clear()
+        n = enumeration.MAX_COUNT_TIPS + 1
+        with pytest.raises(ValueError, match=f"^n must be <= MAX_COUNT_TIPS = 150, got {n}$"):
+            count_space(n)
+        assert enumeration._pair_entries.cache_info().currsize == 0
+
+
 class TestCountShapes:
     def test_published_cells(self):
         for n, row in TABLE_CELLS.items():

@@ -156,5 +156,5 @@ def sample_topologies(
         # backward event e is the node of rank K - e + 1 (ranks root-down)
         k_nodes = len(up)
         t = [k_nodes + 1 - e if e else 0 for e in reversed(up)]
-        out.append(TreeShape(t, tips[::-1]))
+        out.append(TreeShape._trusted(tuple(t), tuple(reversed(tips))))
     return out

@@ -249,4 +249,4 @@ def generate_all(n: int, k: int | None = None) -> Iterator[TreeShape]:
             if spare < 0:
                 continue
             for extra in _compositions(spare, kk):
-                yield TreeShape(t, tuple(m + e for m, e in zip(mins, extra)))
+                yield TreeShape._trusted(t, tuple(m + e for m, e in zip(mins, extra)))

@@ -195,7 +195,7 @@ def max_degree_tree(n: int) -> tuple[TreeShape, int]:
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
     k = (n - 2) // 2 + 1
-    shape = TreeShape((0,) + (1,) * (k - 1), (2 + n % 2,) + (2,) * (k - 1))
+    shape = TreeShape._trusted((0,) + (1,) * (k - 1), (2 + n % 2,) + (2,) * (k - 1))
     return shape, 1 + deg_minus(shape)
 
 
@@ -229,7 +229,11 @@ def lub_fmatrix(fx: np.ndarray, fy: np.ndarray, trace: list | None = None) -> np
     not a square, lower-triangular, nonnegative integer matrix raises
     ``ValueError``.
     """
-    fx, fy = _as_matrix(fx), _as_matrix(fy)
+    return _lub_fmatrix(_as_matrix(fx), _as_matrix(fy), trace)
+
+
+def _lub_fmatrix(fx: np.ndarray, fy: np.ndarray, trace: list | None = None) -> np.ndarray:
+    """``lub_fmatrix`` on two valid int64 F-matrices; checks only its result."""
     dx, dy = np.diag(fx).tolist(), np.diag(fy).tolist()
     if dx[-1] != dy[-1]:
         raise ValueError("shapes must have the same number of tips")
@@ -257,8 +261,7 @@ def lub(a: TreeShape, b: TreeShape) -> TreeShape:
         )
     if a == b:
         return a
-    # lub_fmatrix has checked the matrix, so only the vectors are checked again
-    return TreeShape(*_fmatrix_vectors(lub_fmatrix(a.fmatrix(), b.fmatrix())))
+    return TreeShape._trusted(*_fmatrix_vectors(_lub_fmatrix(a.fmatrix(), b.fmatrix())))
 
 
 def lattice_distance(a: TreeShape, b: TreeShape) -> int:

@@ -166,7 +166,11 @@ def validate_fmatrix(f, n=None) -> str | None:
 
     Non-square, non-triangular, or negative input raises ``ValueError``.
     """
-    m = _as_matrix(f)
+    return _fmatrix_rule(_as_matrix(f), n)
+
+
+def _fmatrix_rule(m: np.ndarray, n=None) -> str | None:
+    """The first F rule that an int64 matrix from ``_as_matrix`` breaks."""
     d = m.diagonal()
     if d[0] < 2 or (d[1:] <= d[:-1]).any():
         return "F1"
@@ -223,14 +227,14 @@ def string_to_fmatrix(t, l) -> np.ndarray:
 def fmatrix_to_string(f):
     """Convert an F-matrix back to the vector pair ``(t, l)``."""
     m = _as_matrix(f)
-    bad = validate_fmatrix(m)
+    bad = _fmatrix_rule(m)
     if bad is not None:
         raise InvalidShapeError(bad, "input is not a valid F-matrix")
     return _fmatrix_vectors(m)
 
 
-def _fmatrix_vectors(m: np.ndarray) -> tuple[_IntVector, _IntVector]:
-    """Decode an int64 F-matrix that ``validate_fmatrix`` accepted.
+def _fmatrix_vectors(m: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Decode an int64 F-matrix that passes the F rules.
 
     Node i + 1's parent is the one column whose per-node count drops by
     one at row i + 1; the last row holds the leaf counts.
@@ -238,14 +242,7 @@ def _fmatrix_vectors(m: np.ndarray) -> tuple[_IntVector, _IntVector]:
     k = m.shape[0]
     d = np.diff(m, axis=1, prepend=0)
     drops = (d[:-1] - d[1:] == 1) & np.tri(k - 1, k, dtype=bool)
-    counts = drops.sum(axis=1)
-    if np.any(counts != 1):
-        bad = int(np.flatnonzero(counts != 1)[0]) + 2
-        raise InvalidShapeError(
-            "F1", f"row {bad} does not decrease exactly one column"
-        )
-    t = _IntVector([0] + (drops.argmax(axis=1) + 1).tolist())
-    return t, _IntVector(d[-1].tolist())
+    return (0, *(drops.argmax(axis=1) + 1).tolist()), tuple(d[-1].tolist())
 
 
 @dataclass(frozen=True, order=True)
@@ -298,8 +295,7 @@ class TreeShape:
 
     @classmethod
     def from_fmatrix(cls, f) -> "TreeShape":
-        t, l = fmatrix_to_string(f)
-        return cls(t, l)
+        return cls._trusted(*fmatrix_to_string(f))
 
     # -- serialization ------------------------------------------------
 

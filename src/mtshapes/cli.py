@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -91,9 +92,11 @@ def _emit(line: str = ""):
 
 
 def _emit_record(record: dict, as_json: bool):
-    """One JSON object, or one ``key: value`` line per field."""
+    """One JSON object, or one ``key: value`` line per field.  JSON has no
+    infinity, so an infinite value (a periodic chain's ``t_rel``) is
+    written as null."""
     if as_json:
-        _emit(json.dumps(record))
+        _emit(json.dumps({k: None if v == math.inf else v for k, v in record.items()}))
     else:
         for key, value in record.items():
             _emit(f"{key}: {value}")

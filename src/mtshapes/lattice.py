@@ -21,7 +21,7 @@ import numpy as np
 
 from .enumeration import generate_all
 from .shapes import InvalidShapeError, TreeShape, collapse_edge, validate_fmatrix
-from .shapes import _as_matrix, _delete_nodes, _fmatrix_vectors
+from .shapes import _checked_fmatrix, _delete_nodes, _fmatrix_vectors
 
 __all__ = [
     "present_edges",
@@ -227,9 +227,10 @@ def lub_fmatrix(fx: np.ndarray, fy: np.ndarray, trace: list | None = None) -> np
     terminates.  If ``trace`` is a list, the shared submatrix and each
     subsequent intermediate matrix are appended to it.  An input that is
     not a square, lower-triangular, nonnegative integer matrix raises
-    ``ValueError``.
+    ``ValueError``; one that breaks an F rule raises ``InvalidShapeError``
+    naming the rule.
     """
-    return _lub_fmatrix(_as_matrix(fx), _as_matrix(fy), trace)
+    return _lub_fmatrix(_checked_fmatrix(fx), _checked_fmatrix(fy), trace)
 
 
 def _lub_fmatrix(fx: np.ndarray, fy: np.ndarray, trace: list | None = None) -> np.ndarray:

@@ -14,6 +14,14 @@ survive, unfurcated, through the (i+1)-th furcation.  Both encodings are
 bijective with the space of shapes; this module provides validation for
 each, conversion in both directions, the edge-collapse operation in both
 encodings, and text/JSON serialization.
+
+One rule governs construction across the package.  Input from outside is
+checked exactly once, where it enters: ``TreeShape(t, l)``, ``from_text``,
+``from_json``, ``from_fmatrix``/``fmatrix_to_string``, ``validate_*``,
+``lub_fmatrix`` and ``collapse_edge_fmatrix``.  Every shape the package
+derives from checked data (a collapse, a split, a decoded F-matrix, a
+least upper bound, a generated or a sampled shape) is built through
+``TreeShape._trusted`` and not checked again.
 """
 
 from __future__ import annotations
@@ -21,7 +29,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from operator import gt, index as _as_int
+from itertools import islice
+from operator import index as _as_int
 
 import numpy as np
 
@@ -116,21 +125,24 @@ def validate_string(t, l, n=None) -> str | None:
     ``ValueError`` instead of naming a constraint.
     """
     t, l = _check_vectors(t, l)
-    k = len(t)
     if t[0] != 0:
         return "S1"
-    for i in range(1, k):
-        if not 1 <= t[i] <= i:
+    # One pass checks S1 and counts each node's internal children.
+    counts = [0] * (len(t) + 1)
+    for i in range(1, len(t)):
+        p = t[i]
+        if not 1 <= p <= i:
             return "S1"
-    if any(x < 0 for x in l):
+        counts[p] += 1
+    if min(l) < 0 or (n is not None and sum(l) != n):
         return "S2"
-    if n is not None and sum(l) != n:
-        return "S2"
-    mins = _min_leaves(t)
-    if any(map(gt, mins, l)):
-        # A minimum of 2 marks a node with no internal child (S3).
-        return "S3" if any(m == 2 and x < 2 for m, x in zip(mins, l)) else "S4"
-    return None
+    s4 = False
+    for c, x in zip(islice(counts, 1, None), l):
+        if c == 0 and x < 2:
+            return "S3"
+        if c == 1 and x == 0:
+            s4 = True
+    return "S4" if s4 else None
 
 
 def _as_matrix(f) -> np.ndarray:
@@ -224,13 +236,19 @@ def string_to_fmatrix(t, l) -> np.ndarray:
     return np.tril(np.cumsum(d, axis=1))
 
 
-def fmatrix_to_string(f):
-    """Convert an F-matrix back to the vector pair ``(t, l)``."""
+def _checked_fmatrix(f) -> np.ndarray:
+    """``f`` as an int64 matrix; ``InvalidShapeError`` names the first F
+    rule it breaks."""
     m = _as_matrix(f)
     bad = _fmatrix_rule(m)
     if bad is not None:
         raise InvalidShapeError(bad, "input is not a valid F-matrix")
-    return _fmatrix_vectors(m)
+    return m
+
+
+def fmatrix_to_string(f):
+    """Convert an F-matrix back to the vector pair ``(t, l)``."""
+    return _fmatrix_vectors(_checked_fmatrix(f))
 
 
 def _fmatrix_vectors(m: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -270,8 +288,11 @@ class TreeShape:
 
     @classmethod
     def _trusted(cls, t: tuple[int, ...], l: tuple[int, ...]) -> "TreeShape":
-        """Skip validation: only for int tuples that a collapse or a node
-        split of a valid shape produced, valid by construction."""
+        """Build without validation, from plain tuples of exact ints that
+        the package derived from checked data and that are valid by
+        construction.  Outside input goes through ``TreeShape(t, l)`` or
+        a reader instead; ``tests/test_construction_guard.py`` keeps every
+        module but this one off the validating constructor."""
         shape = object.__new__(cls)
         object.__setattr__(shape, "t", t)
         object.__setattr__(shape, "l", l)
@@ -337,12 +358,12 @@ def _parse_int_list(text: str, base: int) -> _IntVector:
     if _INT_LIST.fullmatch(text):
         return _IntVector(map(int, text.split(",")))
     # Text the pattern rejects is scanned token by token, which raises
-    # the ParseError for the first bad token (str.isdigit passes more
-    # than \d does; int() then raises on those tokens).
+    # the ParseError for the first bad token.  str.isdecimal accepts the
+    # digits int() reads; str.isdigit would also pass superscripts.
     out = []
     pos = 0
     for tok in text.split(","):
-        if not tok or not tok.lstrip("-").isdigit() or tok.startswith("--"):
+        if not tok or not tok.lstrip("-").isdecimal() or tok.startswith("--"):
             raise ParseError(f"expected an integer, got {tok!r}", base + pos)
         out.append(int(tok))
         pos += len(tok) + 1

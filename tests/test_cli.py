@@ -191,6 +191,32 @@ class TestBoundsAndExact:
         assert data["phi_star_exact"] == "1/2"
         assert data["diameter"] == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exact", "--n", str(n), "--chain", chain, *lazy)
+            for n in (4, 5, 6)
+            for chain in ("rw", "sym")
+            for lazy in ((), ("--lazy",))
+        ]
+        + [("bounds", "--n", str(n), "--exact") for n in (4, 5, 6)],
+        ids=" ".join,
+    )
+    def test_json_output_is_strict_json(self, capsys, argv):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        data = json.loads(out, parse_constant=refuse)
+        assert code == 0
+        if argv[0] == "exact":
+            # The covering graph is bipartite by K, so only the non-lazy
+            # random walk is periodic, with an infinite relaxation time.
+            periodic = argv[4] == "rw" and not data["lazy"]
+            assert (data["t_rel"] is None) == periodic
+            _, text, _ = run_cli(capsys, *argv)
+            assert ("t_rel: inf" in text.splitlines()) == periodic
+
     def test_bounds_exact_beyond_subset_cap(self, capsys):
         # N = 6 has 54 shapes, past MAX_BOTTLENECK_VERTICES: no phi_star,
         # as in `exact`, but the gaps and the diameter are reported.

@@ -9,6 +9,8 @@ from itertools import combinations
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtshapes import (
     UNIFORM_MEASURE,
@@ -262,6 +264,18 @@ class TestSampleTopology:
         for s in sample_topologies(25, BetaMeasure(0.7, 1.3), 300, rng):
             assert validate_string(s.t, s.l, n=25) is None
             assert s.n_tips == 25
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 50),
+        alpha=st.floats(0, 2, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_draw_is_valid_and_round_trips(self, n, alpha, seed):
+        # sample_topologies builds its shapes without validating them
+        for s in sample_topologies(n, BetaMeasure.from_alpha(alpha), 5, rng_from(seed)):
+            assert validate_string(s.t, s.l, n) is None
+            assert TreeShape.from_text(s.to_text()) == s
 
     def test_pairwise_only_paths_are_binary(self):
         # samples in which every merger was pairwise have K = N - 1 and

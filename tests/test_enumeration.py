@@ -15,6 +15,7 @@ from mtshapes import (
     count_space,
     generate_all,
     pair_table,
+    validate_string,
 )
 from mtshapes import build_hasse, enumeration
 from mtshapes.enumeration import k0_k1, valid_pairs
@@ -315,6 +316,13 @@ class TestGenerateAll:
             per_k = Counter(s.n_internal for s in generate_all(n))
             for k in range(1, n):
                 assert per_k[k] == count_shapes(n, k)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_shape_passes_validate_string(self, n):
+        # generate_all builds its shapes without validating them
+        for s in generate_all(n):
+            assert validate_string(s.t, s.l, n) is None, s
+            assert type(s.t) is tuple and type(s.l) is tuple
 
     def test_no_duplicates(self):
         shapes = list(generate_all(8))

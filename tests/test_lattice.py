@@ -24,6 +24,7 @@ from mtshapes import (
     present_edges,
     refinements_below,
     sample_topologies,
+    validate_string,
 )
 from mtshapes.chains import ChainState, semi_random_init, step_random_walk
 from mtshapes.lattice import degree, max_degree, refine_node, split_count
@@ -252,6 +253,13 @@ class TestLub:
         with pytest.raises(ValueError):
             lub_fmatrix([[2, 0], [1, 3]], fx)
 
+    @pytest.mark.parametrize("fx, fy", [([[3, 0], [0, 5]], [[5]]), ([[5]], [[3, 0], [0, 5]])])
+    def test_inputs_must_pass_the_f_rules(self, fx, fy):
+        # [[3, 0], [0, 5]] breaks F1: its subdiagonal entry is not 3 - 1
+        with pytest.raises(InvalidShapeError) as exc:
+            lub_fmatrix(fx, fy)
+        assert exc.value.constraint == "F1"
+
     def test_violating_columns_match_loop(self):
         # the per-column loop the vectorised pass replaced
         def reference(m):
@@ -374,6 +382,7 @@ class TestLatticeLaws:
     def test_lub_is_a_join(self, abc):
         a, b, c = abc
         ab = lub(a, b)
+        assert validate_string(ab.t, ab.l, a.n_tips) is None
         assert lub(b, a) == ab
         assert lub(a, a) == a
         assert np.array_equal(lub_fmatrix(a.fmatrix(), a.fmatrix()), a.fmatrix())

@@ -22,6 +22,7 @@ from mtshapes import (
     validate_string,
 )
 from mtshapes.chains import semi_random_init
+from mtshapes.enumeration import _compositions
 from mtshapes.shapes import fmatrix_to_string, string_to_fmatrix
 from mtshapes import shapes as shapes_module
 
@@ -104,6 +105,67 @@ class TestValidateString:
             validate_string((), ())
         with pytest.raises(TypeError):
             validate_string((0.5,), (4,))
+
+
+def reference_validate_string(t, l, n=None):
+    """``validate_string`` before its one-pass rewrite: S1 over ``t``, then
+    S2, then S3/S4 from each node's fewest allowed leaves."""
+    k = len(t)
+    if t[0] != 0:
+        return "S1"
+    for i in range(1, k):
+        if not 1 <= t[i] <= i:
+            return "S1"
+    if any(x < 0 for x in l):
+        return "S2"
+    if n is not None and sum(l) != n:
+        return "S2"
+    counts = [0] * (k + 1)
+    for x in t:
+        counts[x] += 1
+    mins = [2 - c if c < 2 else 0 for c in counts[1:]]
+    if any(m > x for m, x in zip(mins, l)):
+        return "S3" if any(m == 2 and x < 2 for m, x in zip(mins, l)) else "S4"
+    return None
+
+
+def vector_pairs(n):
+    """Pairs (t, l) with n leaves and K <= n - 1, where t[0] is 0 or 1 and
+    t[i] lies in 0..i+1.  A t that passes S1 meets every leaf vector; one
+    that breaks S1 meets only the first, since S1 is checked first."""
+    for k in range(1, n):
+        leaves = list(_compositions(n, k))
+        for t in itertools.product((0, 1), *(range(i + 2) for i in range(1, k))):
+            s1 = t[0] == 0 and all(1 <= p <= i for i, p in enumerate(t) if i)
+            for l in leaves if s1 else leaves[:1]:
+                yield t, l
+
+
+class TestValidateStringReference:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_small_pair_matches_reference(self, n):
+        seen = set()
+        for t, l in vector_pairs(n):
+            got = validate_string(t, l, n)
+            assert got == reference_validate_string(t, l, n), (t, l)
+            seen.add(got)
+        assert seen == ({None, "S1", "S3", "S4"} if n > 2 else {None, "S1"})
+
+    def test_seeded_perturbed_pairs_match_reference(self):
+        rng = np.random.default_rng(20)
+        seen = set()
+        for _ in range(3000):
+            s = semi_random_init(20, int(rng.integers(1, 20)), rng)
+            t, l = list(s.t), list(s.l)
+            for _ in range(int(rng.integers(1, 4))):
+                v = t if rng.random() < 0.5 else l
+                i = int(rng.integers(len(v)))
+                v[i] += int(rng.integers(-2, 3))
+            for n in (20, None):
+                got = validate_string(t, l, n)
+                assert got == reference_validate_string(t, l, n), (t, l, n)
+                seen.add(got)
+        assert seen == {None, "S1", "S2", "S3", "S4"}
 
 
 class TestValidateFmatrix:
@@ -198,6 +260,14 @@ def perturbed_fmatrix(n, k, seed, changes):
     return m
 
 
+def assert_decodes_to_itself(m):
+    """An accepted matrix decodes to a valid shape that re-encodes to it:
+    the decoder trusts the F rules to leave one parent per row."""
+    t, l = fmatrix_to_string(m)
+    assert validate_string(t, l) is None
+    assert np.array_equal(string_to_fmatrix(t, l), m)
+
+
 class TestValidateFmatrixReference:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_every_candidate_matches_reference(self, n):
@@ -218,6 +288,8 @@ class TestValidateFmatrixReference:
             m = perturbed_fmatrix(n, k, int(rng.integers(2**32)), changes)
             got = validate_fmatrix(m)
             assert got == reference_validate_fmatrix(m)
+            if got is None:
+                assert_decodes_to_itself(m)
             seen.add(got)
         assert seen == {None, "F1", "F2", "F3a", "F3b", "F3c"}
 
@@ -236,6 +308,8 @@ class TestValidateFmatrixReference:
         m = perturbed_fmatrix(n, k, seed, changes)
         assert validate_fmatrix(m) == reference_validate_fmatrix(m)
         assert validate_fmatrix(m, n=n) == reference_validate_fmatrix(m, n=n)
+        if validate_fmatrix(m) is None:
+            assert_decodes_to_itself(m)
 
 
 class TestConversions:
@@ -379,6 +453,9 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             TreeShape.from_text("0,1|2,zz")
         assert err.value.offset == 6
+        with pytest.raises(ParseError) as err:
+            TreeShape.from_text("0|2,\u00b2")  # a digit to isdigit, not to int()
+        assert err.value.offset == 4
 
     def test_json_errors(self):
         with pytest.raises(ParseError):
@@ -426,7 +503,7 @@ class TestSerialization:
             for side, base in ((left, 0), (right, len(left) + 1)):
                 out, pos = [], 0
                 for tok in side.split(","):
-                    if not tok or not tok.lstrip("-").isdigit() or tok.startswith("--"):
+                    if not tok or not tok.lstrip("-").isdecimal() or tok.startswith("--"):
                         raise ParseError(f"expected an integer, got {tok!r}", base + pos)
                     out.append(int(tok))
                     pos += len(tok) + 1

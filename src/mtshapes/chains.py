@@ -9,7 +9,13 @@ stationary checks, spectral gaps, and exhaustive bottleneck ratios.
 
 Neighbor moves never materialize the (possibly huge) refinement set: a
 single uniform integer below the degree is unranked into either a
-collapse or one concrete node split.
+collapse or one concrete node split.  A chain keeps its current
+``Neighborhood`` and moves by patching it (``Neighborhood.move``), so
+after its first step it never rebuilds one from scratch, and the
+proposal's degree costs O(1).  Draws read the bit generator directly
+through its ctypes interface, under its lock: each rank word and each
+MH uniform is the value ``rng.integers(0, 2**32, dtype=np.uint64)`` or
+``rng.random()`` would return, so the seeded stream is the Generator's.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .lattice import (
     Neighborhood,
     build_hasse,
     max_degree,
+    max_degree_tree,
     split_count,  # noqa: F401  (kept importable: perfbench counts calls through it)
 )
 from .shapes import TreeShape
@@ -76,7 +83,8 @@ class ChainState:
         return self.accepted / self.proposed if self.proposed else math.nan
 
     def neighborhood(self) -> Neighborhood:
-        """The current shape's neighborhood, rebuilt after the shape changed."""
+        """The current shape's neighborhood.  The steppers keep it patched;
+        it is rebuilt only if ``shape`` was set from outside."""
         if self.cached is None or self.cached.shape is not self.shape:
             self.cached = Neighborhood(self.shape)
         return self.cached
@@ -86,65 +94,98 @@ def random_below(rng: np.random.Generator, n: int) -> int:
     """Uniform integer in [0, n) for arbitrary-precision ``n``."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
+    bitgen = rng.bit_generator
+    c = bitgen.ctypes
+    with bitgen.lock:
+        return _below(c.next_uint32, c.state, n)
+
+
+def _below(word, state, n: int) -> int:
+    """Uniform integer in [0, n), n >= 1, from 32-bit words ``word(state)``.
+
+    The top bits of ceil(bits(n) / 32) words, rejected until below n.
+    Read through the bit generator's ctypes interface, each word is the
+    value ``rng.integers(0, 2**32, dtype=np.uint64)`` would return, so
+    the stream is that of the Generator calls without their overhead.
+    n == 1 draws nothing.
+    """
     if n == 1:
         return 0
     bits = n.bit_length()
     words = (bits + 31) // 32
+    shift = words * 32 - bits
     while True:
-        # Scalar draws consume the stream exactly as one size=words draw
-        # does, without the array's overhead.
-        r = 0
-        for _ in range(words):
-            r = (r << 32) | int(rng.integers(0, 1 << 32, dtype=np.uint64))
-        r >>= words * 32 - bits
+        r = word(state)
+        for _ in range(words - 1):
+            r = (r << 32) | word(state)
+        r >>= shift
         if r < n:
             return r
 
 
 def uniform_neighbor(rng: np.random.Generator, nbhd: Neighborhood) -> TreeShape:
     """A uniformly chosen neighbor of ``nbhd.shape``."""
+    _require_neighbors(nbhd)
+    return nbhd.neighbor(random_below(rng, nbhd.degree))
+
+
+def _require_neighbors(nbhd: Neighborhood) -> None:
     if nbhd.degree == 0:
         raise ValueError("shape has no neighbors (single-shape space)")
-    return nbhd.neighbor(random_below(rng, nbhd.degree))
 
 
 def step_symmetric(state: ChainState, rng: np.random.Generator) -> ChainState:
     """One step of the symmetric chain: each neighbor with probability
     1/M_N, else hold (self-loop mass 1 - deg/M_N)."""
-    nbhd = state.neighborhood()
+    here = state.neighborhood()
+    _require_neighbors(here)
     r = random_below(rng, max_degree(state.shape.n_tips))
-    if r < nbhd.degree:
-        state.shape = nbhd.neighbor(r)
+    if r < here.degree:
+        there = here.move(r)
+        state.shape, state.cached = there.shape, there
     return state
 
 
 def step_random_walk(state: ChainState, rng: np.random.Generator) -> ChainState:
     """One step of the simple random walk: a uniform neighbor, never a
     self-loop (reflects at binary shapes and at the star)."""
-    state.shape = uniform_neighbor(rng, state.neighborhood())
+    here = state.neighborhood()
+    _require_neighbors(here)
+    there = here.move(random_below(rng, here.degree))
+    state.shape, state.cached = there.shape, there
     return state
 
 
 def step_mh_uniform(state: ChainState, rng: np.random.Generator) -> ChainState:
     """One Metropolis-Hastings step targeting the uniform distribution,
-    with the random walk as proposal: accept with min(1, deg/deg')."""
+    with the random walk as proposal: accept with min(1, deg/deg').
+
+    The proposal's rank is drawn first, then the uniform ``u`` (the value
+    ``rng.random()`` would return), whether or not the test needs it.
+    """
     here = state.neighborhood()
-    proposal = uniform_neighbor(rng, here)
-    deg = here.degree
-    there = Neighborhood(proposal)
-    deg_p = there.degree
+    _require_neighbors(here)
+    bitgen = rng.bit_generator
+    c = bitgen.ctypes
+    with bitgen.lock:
+        r = _below(c.next_uint32, c.state, here.degree)
+        u = c.next_double(c.state)
+    there = here.move(r)
     state.proposed += 1
-    u = rng.random()
-    if deg >= deg_p:
-        accept = True
-    elif deg_p < 2**52:
-        accept = u < deg / deg_p
-    else:
-        accept = Fraction(u) < Fraction(deg, deg_p)
-    if accept:
-        state.shape, state.cached = proposal, there
+    if _accepts(u, here.degree, there.degree):
+        state.shape, state.cached = there.shape, there
         state.accepted += 1
     return state
+
+
+def _accepts(u: float, deg: int, deg_p: int) -> bool:
+    """The MH test u < min(1, deg/deg'); exact in rationals once deg'
+    reaches 2**52."""
+    if deg >= deg_p:
+        return True
+    if deg_p < 2**52:
+        return u < deg / deg_p
+    return Fraction(u) < Fraction(deg, deg_p)
 
 
 # -- initialization ----------------------------------------------------
@@ -275,7 +316,9 @@ def run_chains(
 def _weights(graph: LatticeGraph, kind: str) -> np.ndarray:
     """Holding weight w(x) per vertex of ``graph`` for chain ``kind``."""
     if kind == "symmetric":
-        return np.full(graph.n_vertices, max_degree(graph.n))
+        # The exact analysis keeps the paper's domain N >= 4, where M_N
+        # has its closed form; the sampler also runs at N = 3.
+        return np.full(graph.n_vertices, max_degree_tree(graph.n)[1])
     if kind == "random-walk":
         plus, minus = graph.degrees()
         deg = plus + minus

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import index
 
@@ -99,8 +100,14 @@ def refine_node(shape: TreeShape, node: int, moved: tuple[int, ...], leaves: int
     size = len(moved_set) + leaves
     if leaves < 0 or leaves > l[node - 1] or not 2 <= size <= t.count(node) + l[node - 1] - 1:
         raise ValueError("split must move at least 2 and leave at least 1 child")
+    return _refined(shape, node, moved_set, leaves)
+
+
+def _refined(shape: TreeShape, node: int, moved, leaves: int) -> TreeShape:
+    # refine_node on arguments already known to be a valid split.
+    t, l = shape.t, shape.l
     new_t = t[:node] + (node,) + tuple(
-        node + 1 if c in moved_set else (p if p <= node else p + 1)
+        node + 1 if c in moved else (p if p <= node else p + 1)
         for c, p in enumerate(t[node:], start=node + 1)
     )
     new_l = l[: node - 1] + (l[node - 1] - leaves, leaves) + l[node:]
@@ -122,6 +129,31 @@ def _unrank_combination(items: list[int], size: int, rank: int) -> tuple[int, ..
     return tuple(out)
 
 
+def _unrank_split(k: int, l: int, rank: int) -> tuple[int, int, int]:
+    """The ``rank``-th split of a node with ``k`` internal and ``l`` leaf
+    children, as (internal children moved, leaves moved, rank of the
+    moved subset among the size-subsets of the internal children)."""
+    for size in range(2, k + l):
+        for j in range(max(0, size - k), min(size, l) + 1):
+            cell = math.comb(k, size - j)
+            if rank < cell:
+                return size - j, j, rank
+            rank -= cell
+    raise ValueError("rank exceeds the node's split count")
+
+
+def _children(t: tuple[int, ...], node: int, count: int) -> list[int]:
+    """The ``count`` internal children of ``node``, ascending.  Each is
+    found by ``t.index`` after the previous one (children rank after
+    their parent), so the scan stops at the last child."""
+    out = []
+    i = node
+    for _ in range(count):
+        i = t.index(node, i) + 1
+        out.append(i)
+    return out
+
+
 class Neighborhood:
     """The one-step neighbors of a shape, indexed by rank 0..degree-1.
 
@@ -130,6 +162,10 @@ class Neighborhood:
     one fixed order: the collapses by ascending edge, then the refinements
     by node, split size, moved-leaf count, and lexicographic position of
     the moved subset of internal children.
+
+    :meth:`move` steps to a neighbor by patching these fields: a collapse
+    or a split changes the profile of at most two nodes and shifts the
+    ranks after them, so the neighbor's degree follows in O(1).
     """
 
     __slots__ = ("shape", "edges", "profile", "splits", "degree")
@@ -138,30 +174,80 @@ class Neighborhood:
         self.shape = shape
         self.edges = present_edges(shape)
         self.profile = shape.children_counts()
-        self.splits = list(map(_memo_split_count, self.profile))
+        self.splits = tuple(map(_memo_split_count, self.profile))
         self.degree = len(self.edges) + sum(self.splits)
+
+    @classmethod
+    def _patched(cls, shape, edges, profile, splits, degree) -> "Neighborhood":
+        out = object.__new__(cls)
+        out.shape, out.edges, out.profile = shape, edges, profile
+        out.splits, out.degree = splits, degree
+        return out
 
     def neighbor(self, rank: int) -> TreeShape:
         """The ``rank``-th neighbor (0-based) in the order above."""
+        return self.move(rank).shape
+
+    def move(self, rank: int) -> "Neighborhood":
+        """The neighborhood of the ``rank``-th neighbor, patched from this
+        one; equal, field by field, to ``Neighborhood(self.neighbor(rank))``."""
         if not 0 <= rank < self.degree:
             raise ValueError(f"rank must be in [0, {self.degree}), got {rank}")
         if rank < len(self.edges):
-            return collapse_edge(self.shape, self.edges[rank])
-        rank -= len(self.edges)
-        for node, w in enumerate(self.splits, start=1):
-            if rank >= w:
-                rank -= w
-                continue
-            ki, li = self.profile[node - 1]
-            for s in range(2, ki + li):
-                for j in range(max(0, s - ki), min(s, li) + 1):
-                    cell = math.comb(ki, s - j)
-                    if rank < cell:
-                        children = [c for c, p in enumerate(self.shape.t, 1) if p == node]
-                        moved = _unrank_combination(children, s - j, rank)
-                        return refine_node(self.shape, node, moved, j)
-                    rank -= cell
-        raise AssertionError("unreachable: rank exceeded enumerated neighbors")
+            return self._collapse(rank)
+        return self._split(rank - len(self.edges))
+
+    def _split(self, rank: int) -> "Neighborhood":
+        # Splitting node v hands m of its k internal children and j of its
+        # l leaves to a new node v + 1: v keeps (k - m + 1, l - j), the new
+        # node has (m, j), nodes below v keep their profile and later ones
+        # move up one rank.  Edge v now exists, edge v + 1 when old node
+        # v + 1 moved, and each later edge moves up one rank.
+        edges, profile, splits = self.edges, self.profile, self.splits
+        for v, w in enumerate(splits, start=1):
+            if rank < w:
+                break
+            rank -= w
+        k, l = profile[v - 1]
+        m, j, rank = _unrank_split(k, l, rank)
+        children = _children(self.shape.t, v, k) if m else []
+        moved = frozenset(_unrank_combination(children, m, rank))
+        i = bisect_left(edges, v)
+        had = i < len(edges) and edges[i] == v
+        lower, upper = (k - m + 1, l - j), (m, j)
+        s_low, s_up = _memo_split_count(lower), _memo_split_count(upper)
+        return self._patched(
+            _refined(self.shape, v, moved, j),
+            edges[:i]
+            + ((v, v + 1) if v + 1 in moved else (v,))
+            + tuple(x + 1 for x in edges[i + had :]),
+            profile[: v - 1] + (lower, upper) + profile[v:],
+            splits[: v - 1] + (s_low, s_up) + splits[v:],
+            self.degree + 1 - had + (v + 1 in moved) - splits[v - 1] + s_low + s_up,
+        )
+
+    def _collapse(self, rank: int) -> "Neighborhood":
+        # Collapsing edge e merges nodes e and e + 1 into node e: nodes
+        # below e keep their profile and later nodes move down one rank.
+        # Edge e + 1 goes; edge e stays when old node e + 2 hung off e or
+        # e + 1; each later edge moves down one rank.
+        edges, profile, splits = self.edges, self.profile, self.splits
+        e = edges[rank]
+        t = self.shape.t
+        (ke, le), (kf, lf) = profile[e - 1], profile[e]
+        merged = (ke - 1 + kf, le + lf)
+        s = _memo_split_count(merged)
+        after = rank + 1
+        if after < len(edges) and edges[after] == e + 1:
+            after += 1
+        keep = e + 1 < len(t) and t[e + 1] >= e
+        return self._patched(
+            collapse_edge(self.shape, e),
+            edges[:rank] + ((e,) if keep else ()) + tuple(x - 1 for x in edges[after:]),
+            profile[: e - 1] + (merged,) + profile[e + 1 :],
+            splits[: e - 1] + (s,) + splits[e + 1 :],
+            self.degree - (after - rank) + keep - splits[e - 1] - splits[e] + s,
+        )
 
 
 def refinements_below(shape: TreeShape) -> set[TreeShape]:
@@ -201,6 +287,11 @@ def max_degree_tree(n: int) -> tuple[TreeShape, int]:
 
 @functools.cache
 def max_degree(n: int) -> int:
+    """M_N, the largest degree of a shape with ``n`` tips.  Below N = 4
+    the space is the star alone (N = 2, M_2 = 0) or the star and the one
+    binary shape, each the other's only neighbor (N = 3, M_3 = 1)."""
+    if n in (2, 3):
+        return n - 2
     return max_degree_tree(n)[1]
 
 

@@ -263,6 +263,12 @@ def _fmatrix_vectors(m: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (0, *(drops.argmax(axis=1) + 1).tolist()), tuple(d[-1].tolist())
 
 
+# Sets a field of a frozen TreeShape; bound once, as chain steps build a
+# shape per move.  Writing to ``shape.__dict__`` instead would be faster
+# still but gives every shape a separate dict, 64 bytes more each.
+_set_field = object.__setattr__
+
+
 @dataclass(frozen=True, order=True)
 class TreeShape:
     """Immutable canonical value for a ranked multifurcating tree shape.
@@ -294,9 +300,9 @@ class TreeShape:
         a reader instead; ``tests/test_construction_guard.py`` keeps every
         module but this one off the validating constructor."""
         shape = object.__new__(cls)
-        object.__setattr__(shape, "t", t)
-        object.__setattr__(shape, "l", l)
-        object.__setattr__(shape, "sort_index", (len(t), t, l))
+        _set_field(shape, "t", t)
+        _set_field(shape, "l", l)
+        _set_field(shape, "sort_index", (len(t), t, l))
         return shape
 
     @property

@@ -329,8 +329,8 @@ class TestWorkerProcesses:
         assert pool_starts == ["fork"]
 
     def test_worker_error_reaches_caller(self, pool_starts):
-        with pytest.raises(ValueError, match="^n must be >= 4, got 3$"):
-            run_chains(3, "symmetric", n_chains=2, n_steps=1, seed=0, threads=2)
+        with pytest.raises(ValueError, match=r"^shape has no neighbors \(single-shape space\)$"):
+            run_chains(2, "symmetric", n_chains=2, n_steps=1, seed=0, threads=2)
         assert pool_starts == ["fork"]
 
 

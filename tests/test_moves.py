@@ -1,0 +1,353 @@
+"""Patched neighbourhood moves, direct bit-generator draws and the
+one-step laws they give the three chains.
+
+A chain moves by ``Neighborhood.move(r)``, which patches the current
+neighbourhood instead of rebuilding it, and reads its randomness through
+the bit generator's ctypes interface.  These tests hold both to the
+construction they replace: a fresh ``Neighborhood`` of the moved-to
+shape, the rank order of the former ``neighbor(r)``, and the Generator
+calls ``rng.integers(0, 2**32, dtype=np.uint64)`` and ``rng.random()``.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mtshapes import TreeShape, collapse_edge, generate_all, present_edges, run_chains
+from mtshapes import chains
+from mtshapes.chains import (
+    ChainState,
+    random_below,
+    semi_random_init,
+    step_mh_uniform,
+    step_random_walk,
+    step_symmetric,
+)
+from mtshapes.lattice import (
+    Neighborhood,
+    max_degree,
+    max_degree_tree,
+    refine_node,
+    split_count,
+)
+
+STEPPERS = {
+    "mh-uniform": step_mh_uniform,
+    "symmetric": step_symmetric,
+    "random-walk": step_random_walk,
+}
+
+
+def rng_from(seed, bit_generator=np.random.PCG64):
+    return np.random.Generator(bit_generator(seed))
+
+
+def state_of(rng):
+    """The bit generator's state, with arrays (MT19937 keeps one) as lists."""
+
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+
+    return plain(rng.bit_generator.state)
+
+
+def fields(nbhd):
+    return nbhd.shape, nbhd.edges, nbhd.profile, nbhd.splits, nbhd.degree
+
+
+# -- the construction the patched moves replace ---------------------------
+
+
+def reference_unrank_combination(items, size, rank):
+    out = []
+    start = 0
+    for _ in range(size):
+        for pos in range(start, len(items)):
+            block = math.comb(len(items) - pos - 1, size - len(out) - 1)
+            if rank < block:
+                out.append(items[pos])
+                start = pos + 1
+                break
+            rank -= block
+    return tuple(out)
+
+
+def reference_neighbor(shape, rank):
+    """The rank-th neighbour, unranked as before moves were patched: the
+    collapses by edge, then each node's splits by size, moved leaves and
+    the lexicographic rank of the moved internal children."""
+    edges = present_edges(shape)
+    if rank < len(edges):
+        return collapse_edge(shape, edges[rank])
+    rank -= len(edges)
+    for node, (ki, li) in enumerate(shape.children_counts(), start=1):
+        w = split_count(ki, li)
+        if rank >= w:
+            rank -= w
+            continue
+        for s in range(2, ki + li):
+            for j in range(max(0, s - ki), min(s, li) + 1):
+                cell = math.comb(ki, s - j)
+                if rank < cell:
+                    children = [c for c, p in enumerate(shape.t, 1) if p == node]
+                    moved = reference_unrank_combination(children, s - j, rank)
+                    return refine_node(shape, node, moved, j)
+                rank -= cell
+    raise ValueError("rank exceeds the degree")
+
+
+def reference_random_below(rng, n):
+    """Uniform integer in [0, n) from scalar Generator draws."""
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    if n == 1:
+        return 0
+    bits = n.bit_length()
+    words = (bits + 31) // 32
+    while True:
+        r = 0
+        for _ in range(words):
+            r = (r << 32) | int(rng.integers(0, 1 << 32, dtype=np.uint64))
+        r >>= words * 32 - bits
+        if r < n:
+            return r
+
+
+def reference_accepts(u, deg, deg_p):
+    if deg >= deg_p:
+        return True
+    if deg_p < 2**52:
+        return u < deg / deg_p
+    return Fraction(u) < Fraction(deg, deg_p)
+
+
+def reference_step_mh_uniform(state, rng):
+    """An MH step that rebuilds the proposal's neighbourhood and draws
+    through the Generator."""
+    here = Neighborhood(state.shape)
+    proposal = reference_neighbor(state.shape, reference_random_below(rng, here.degree))
+    deg_p = Neighborhood(proposal).degree
+    state.proposed += 1
+    if reference_accepts(rng.random(), here.degree, deg_p):
+        state.shape = proposal
+        state.accepted += 1
+    return state
+
+
+def reference_step_symmetric(state, rng):
+    deg = Neighborhood(state.shape).degree
+    r = reference_random_below(rng, max_degree(state.shape.n_tips))
+    if r < deg:
+        state.shape = reference_neighbor(state.shape, r)
+    return state
+
+
+def reference_step_random_walk(state, rng):
+    deg = Neighborhood(state.shape).degree
+    state.shape = reference_neighbor(state.shape, reference_random_below(rng, deg))
+    return state
+
+
+REFERENCE_STEPPERS = {
+    "mh-uniform": reference_step_mh_uniform,
+    "symmetric": reference_step_symmetric,
+    "random-walk": reference_step_random_walk,
+}
+
+
+# -- the patch oracle ------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_every_move_equals_a_fresh_build(n):
+    for shape in generate_all(n):
+        nbhd = Neighborhood(shape)
+        for r in range(nbhd.degree):
+            moved = nbhd.move(r)
+            assert fields(moved) == fields(Neighborhood(moved.shape))
+            assert moved.shape == reference_neighbor(shape, r)
+            assert nbhd.neighbor(r) == moved.shape
+
+
+def test_move_rank_out_of_range():
+    nbhd = Neighborhood(TreeShape((0, 1), (2, 2)))
+    for r in (-1, nbhd.degree):
+        with pytest.raises(ValueError, match="rank must be in"):
+            nbhd.move(r)
+
+
+def walk_and_check(state, stepper, rng, steps):
+    for _ in range(steps):
+        stepper(state, rng)
+        assert state.cached.shape is state.shape
+        assert fields(state.cached) == fields(Neighborhood(state.shape))
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 50),
+    seed=st.integers(0, 2**32 - 1),
+    sampler=st.sampled_from(sorted(STEPPERS)),
+)
+def test_walk_keeps_patched_fields_fresh(n, seed, sampler):
+    rng = rng_from(seed)
+    state = ChainState(semi_random_init(n, 1 + seed % (n - 1), rng))
+    walk_and_check(state, STEPPERS[sampler], rng, 30)
+
+
+@pytest.mark.parametrize("sampler", sorted(STEPPERS))
+@pytest.mark.parametrize("n", [100, 130])
+def test_long_walk_keeps_patched_fields_fresh(n, sampler):
+    rng = rng_from(n)
+    start = max_degree_tree(n)[0] if n == 130 else semi_random_init(n, n // 3, rng)
+    walk_and_check(ChainState(start), STEPPERS[sampler], rng, 300)
+
+
+# -- the seeded stream -----------------------------------------------------
+
+
+@pytest.mark.parametrize("sampler", sorted(STEPPERS))
+@pytest.mark.parametrize("n", [5, 20, 100, 130])
+def test_same_trajectory_as_rebuilt_generator_steps(n, sampler):
+    steps = 2000 if sampler == "mh-uniform" else 500
+    ours, theirs = rng_from(n + 1), rng_from(n + 1)
+    if n == 130:
+        start = max_degree_tree(n)[0]
+        assert Neighborhood(start).degree >= 2**64  # ranks read three words
+    else:
+        start = semi_random_init(n, n // 2, rng_from(n))
+    a, b = ChainState(start), ChainState(start)
+    for _ in range(steps):
+        STEPPERS[sampler](a, ours)
+        REFERENCE_STEPPERS[sampler](b, theirs)
+        assert a.shape == b.shape
+    assert (a.accepted, a.proposed) == (b.accepted, b.proposed)
+    assert state_of(ours) == state_of(theirs)
+
+
+@pytest.mark.parametrize("deg_p", [2**52 - 1, 2**52])
+def test_acceptance_at_the_exact_comparison_boundary(deg_p):
+    for deg in (1, 3, 2**51 + 1, deg_p - 1):
+        q = deg / deg_p
+        for u in (q, math.nextafter(q, 0), math.nextafter(q, 1)):
+            assert chains._accepts(u, deg, deg_p) == reference_accepts(u, deg, deg_p)
+            if deg_p >= 2**52:
+                assert chains._accepts(u, deg, deg_p) == (Fraction(u) < Fraction(deg, deg_p))
+    assert chains._accepts(0.999, deg_p, deg_p)
+    assert chains._accepts(0.999, deg_p + 1, deg_p)
+
+
+def test_acceptance_is_exact_where_floats_round():
+    # deg / deg' rounds down to u, so a float test would reject u < deg / deg'.
+    deg, deg_p = 2**52, 2**52 + 1
+    u = 1 - 2**-52
+    assert u == deg / deg_p and Fraction(u) < Fraction(deg, deg_p)
+    assert chains._accepts(u, deg, deg_p)
+
+
+@pytest.mark.parametrize(
+    "bit_generator",
+    [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64],
+)
+def test_ctypes_reads_match_generator_calls(bit_generator):
+    ours, theirs = rng_from(11, bit_generator), rng_from(11, bit_generator)
+    assert ours.choice(7) == theirs.choice(7)
+    c = ours.bit_generator.ctypes
+    # Odd runs of words leave a buffered half word where generators keep one.
+    for words in (1, 3, 2, 1, 5, 0, 1):
+        for _ in range(words):
+            assert c.next_uint32(c.state) == theirs.integers(0, 2**32, dtype=np.uint64)
+        assert c.next_double(c.state) == theirs.random()
+    assert state_of(ours) == state_of(theirs)
+    for n in (1, 2, 1525, 2**32 + 1, 2**70 + 5):
+        assert random_below(ours, n) == reference_random_below(theirs, n)
+    assert state_of(ours) == state_of(theirs)
+
+
+# -- exact one-step laws ---------------------------------------------------
+
+
+def mh_kernel(n):
+    """P(x, y) = sum over ranks r reaching y of (1/deg x) min(1, deg x / deg y),
+    the rejected mass held at x; rows built from ``move``."""
+    p = {}
+    for x in generate_all(n):
+        nbhd = Neighborhood(x)
+        row = p[x] = {x: Fraction(0)}
+        for r in range(nbhd.degree):
+            there = nbhd.move(r)
+            accept = min(Fraction(1), Fraction(nbhd.degree, there.degree))
+            step = Fraction(1, nbhd.degree)
+            row[there.shape] = row.get(there.shape, 0) + step * accept
+            row[x] += step * (1 - accept)
+    return p
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_mh_one_step_law_is_symmetric_and_stochastic(n, hasse):
+    p = mh_kernel(n)
+    g = hasse[n]
+    for x, row in p.items():
+        assert sum(row.values()) == 1
+        assert all(v > 0 for y, v in row.items() if y != x)
+        assert {g.index[y] for y in row if y != x} == set(g.neighbors(g.index[x]))
+        for y, v in row.items():
+            assert p[y][x] == v
+    # A symmetric stochastic kernel is doubly stochastic: uniform is stationary.
+    for y in p:
+        assert sum(p[x].get(y, 0) for x in p) == 1
+
+
+def symmetric_kernel(n):
+    """Each rank r below M_N moves to ``move(r)`` while r < deg x, and
+    holds at x otherwise; every rank has mass 1/M_N."""
+    m = max_degree(n)
+    p = {}
+    for x in generate_all(n):
+        nbhd = Neighborhood(x)
+        row = p[x] = {x: Fraction(0)}
+        for r in range(m):
+            y = nbhd.move(r).shape if r < nbhd.degree else x
+            row[y] = row.get(y, 0) + Fraction(1, m)
+    return p
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_symmetric_one_step_law(n):
+    p = symmetric_kernel(n)
+    for x, row in p.items():
+        assert sum(row.values()) == 1
+        assert all(v == Fraction(1, max_degree(n)) for y, v in row.items() if y != x)
+        for y, v in row.items():
+            assert p[y][x] == v
+
+
+# -- small spaces ------------------------------------------------------------
+
+
+def test_max_degree_below_four():
+    assert (max_degree(2), max_degree(3)) == (0, 1)
+    for n in (2, 3):
+        assert max(Neighborhood(s).degree for s in generate_all(n)) == max_degree(n)
+    with pytest.raises(ValueError, match="n must be >= 4, got 3"):
+        max_degree_tree(3)
+
+
+@pytest.mark.parametrize("sampler", sorted(STEPPERS))
+def test_every_chain_runs_at_three_tips(sampler):
+    r = run_chains(3, sampler, n_chains=2, n_steps=20, seed=0)
+    assert set(r.pooled()) <= set(generate_all(3))
+
+
+@pytest.mark.parametrize("sampler", sorted(STEPPERS))
+def test_single_shape_space_refused_alike(sampler):
+    with pytest.raises(ValueError, match=r"^shape has no neighbors \(single-shape space\)$"):
+        run_chains(2, sampler, n_chains=1, n_steps=1, seed=0)
+    with pytest.raises(ValueError, match=r"^shape has no neighbors \(single-shape space\)$"):
+        STEPPERS[sampler](ChainState(TreeShape((0,), (2,))), rng_from(0))

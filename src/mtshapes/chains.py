@@ -33,7 +33,6 @@ from .lattice import (
     Neighborhood,
     build_hasse,
     max_degree,
-    max_degree_tree,
     split_count,  # noqa: F401  (kept importable: perfbench counts calls through it)
 )
 from .shapes import TreeShape
@@ -316,16 +315,15 @@ def run_chains(
 def _weights(graph: LatticeGraph, kind: str) -> np.ndarray:
     """Holding weight w(x) per vertex of ``graph`` for chain ``kind``."""
     if kind == "symmetric":
-        # The exact analysis keeps the paper's domain N >= 4, where M_N
-        # has its closed form; the sampler also runs at N = 3.
-        return np.full(graph.n_vertices, max_degree_tree(graph.n)[1])
-    if kind == "random-walk":
+        w = np.full(graph.n_vertices, max_degree(graph.n))
+    elif kind == "random-walk":
         plus, minus = graph.degrees()
-        deg = plus + minus
-        if not deg.all():
-            raise ValueError("random walk undefined: the space has an isolated shape")
-        return deg
-    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        w = plus + minus
+    else:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if not w.all():
+        raise ValueError(f"{kind} chain undefined: the space has an isolated shape")
+    return w
 
 
 def _adjacency(graph: LatticeGraph) -> np.ndarray:

@@ -46,8 +46,16 @@ from .lattice import (
     lattice_distance,
     lub,
 )
-from .shapes import TreeShape
-from .treestats import aggregate, shape_stats
+from .shapes import TreeShape, _text_columns
+from .treestats import (
+    _Columns,
+    _concat_columns,
+    _node_columns,
+    _stats_columns,
+    _summary,
+    aggregate,  # noqa: F401  (kept importable: perfbench/tracing.py patches cli.aggregate)
+    shape_stats,
+)
 
 
 def _parse_shape(text: str) -> TreeShape:
@@ -69,22 +77,59 @@ def _load_shape(value: str) -> TreeShape:
     return _parse_shape(text)
 
 
-def _read_shapes(path: str) -> list[TreeShape]:
-    handle = sys.stdin if path == "-" else open(path)
-    try:
-        shapes = []
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                shapes.append(_parse_shape(line))
-            except ValueError as e:
-                raise ValueError(f"line {lineno}: {e}") from e
-        return shapes
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
+def _read_text(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
+def _parse_lines(text: str) -> list[TreeShape]:
+    """One shape per non-blank line, in text or JSON form; an error names
+    its line."""
+    shapes = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            shapes.append(_parse_shape(line))
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from e
+    return shapes
+
+
+# Characters of input handed to the bulk reader at a time: enough to keep
+# numpy's per-call cost small, few enough to keep its arrays small.
+_BLOCK_CHARS = 1 << 15
+
+
+def _text_blocks(text: str):
+    """``text`` in pieces of about ``_BLOCK_CHARS``, each cut after a newline."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _sample_columns(text: str) -> _Columns:
+    """The shapes of ``text`` as statistics columns.  Canonical text is
+    checked and decoded a block at a time; any other input (JSON lines,
+    blank or padded lines, counts of 10**9 or more, a shape that breaks a
+    rule) goes through the per-line reader, which names the line at fault."""
+    parts = []
+    for block in _text_blocks(text):
+        nodes = _text_columns(block)
+        if nodes is None:
+            shapes = _parse_lines(text)
+            if not shapes:
+                raise ValueError("no shapes in input")
+            return _stats_columns(shape_stats(s) for s in shapes)
+        parts.append(_node_columns(*nodes))
+    if not parts:
+        raise ValueError("no shapes in input")
+    return _concat_columns(parts)
 
 
 def _emit(line: str = ""):
@@ -293,13 +338,9 @@ def cmd_semi_random(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    shapes = _read_shapes(args.infile)
-    if not shapes:
-        raise ValueError("no shapes in input")
-    stats = [shape_stats(s) for s in shapes]
+    cols = _sample_columns(_read_text(args.infile))
     sizes = range(2, args.max_cherry + 1)
-    summary = aggregate(stats, cherry_sizes=sizes)
-    record = dataclasses.asdict(summary)  # json writes the int keys as strings
+    record = dataclasses.asdict(_summary(cols, sizes))  # json writes int keys as strings
     if args.summary_out:
         with open(args.summary_out, "w") as fh:
             json.dump(record, fh)
@@ -310,11 +351,19 @@ def cmd_stats(args) -> int:
     writer.writerow(
         ["n", "k", "max_block", "avg_block"] + [f"cherry_{m}" for m in sizes]
     )
-    for s in stats:
-        cherries = dict(s.cherries)
+    cherries = [{} for _ in range(cols.k.size)]
+    for m, i, c in zip(*cols.cherries.tolist()):
+        cherries[i][m] = c
+    rows = zip(
+        cols.n.tolist(),
+        cols.k.tolist(),
+        cols.max_block.tolist(),
+        cols.avg_block().tolist(),
+        cherries,
+    )
+    for n, k, max_block, avg_block, counts in rows:
         writer.writerow(
-            [s.n, s.k, s.max_block, f"{s.avg_block:.6g}"]
-            + [cherries.get(m, 0) for m in sizes]
+            [n, k, max_block, f"{avg_block:.6g}"] + [counts.get(m, 0) for m in sizes]
         )
     return 0
 

@@ -18,10 +18,11 @@ encodings, and text/JSON serialization.
 One rule governs construction across the package.  Input from outside is
 checked exactly once, where it enters: ``TreeShape(t, l)``, ``from_text``,
 ``from_json``, ``from_fmatrix``/``fmatrix_to_string``, ``validate_*``,
-``lub_fmatrix`` and ``collapse_edge_fmatrix``.  Every shape the package
-derives from checked data (a collapse, a split, a decoded F-matrix, a
-least upper bound, a generated or a sampled shape) is built through
-``TreeShape._trusted`` and not checked again.
+``lub_fmatrix``, ``collapse_edge_fmatrix`` and the bulk text reader
+``_text_columns``.  Every shape the package derives from checked data (a
+collapse, a split, a decoded F-matrix, a least upper bound, a generated
+or a sampled shape) is built through ``TreeShape._trusted`` and not
+checked again.
 """
 
 from __future__ import annotations
@@ -143,6 +144,68 @@ def validate_string(t, l, n=None) -> str | None:
         if c == 1 and x == 0:
             s4 = True
     return "S4" if s4 else None
+
+
+_COMMA, _BAR, _NEWLINE = b",|\n"
+_SEPARATORS_TO_COMMAS = bytes.maketrans(b"|\n", b",,")
+
+
+def _text_columns(block: str):
+    """Check and decode a block of canonical text lines in one pass.
+
+    Accepts only lines ``d(,d)*|d(,d)*`` each ending in ``\\n``, where
+    every ``d`` is 1 to 9 ASCII digits.  The shapes must pass the same
+    rules S1-S4 and the same equal, non-empty lengths as
+    ``validate_string`` (on nonnegative tokens S3 and S4 together say
+    that every node has at least two children).  Returns ``(k, internal,
+    leaves)``: K per shape, then every node's internal-child count and
+    leaf count in line order, which is ``children_counts()`` of each
+    shape.  Returns None when the block is not of that form or any shape
+    in it breaks a rule; the per-line reader then handles it and names
+    the line.  Nine digits keep every token below 2**31, so tokens are
+    read as int32.
+    """
+    if not block.isascii():
+        return None
+    raw = block.encode("ascii")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    if b.size == 0 or b[-1] != _NEWLINE:
+        return None
+    seps = np.flatnonzero(b - ord("0") > 9)  # token i ends at byte seps[i]
+    kind = b[seps]
+    bar, end = kind == _BAR, kind == _NEWLINE
+    if not (bar | end | (kind == _COMMA)).all():
+        return None
+    widths = np.diff(seps, prepend=-1) - 1
+    if widths.min() < 1 or widths.max() > 9:
+        return None
+    bars, ends = np.flatnonzero(bar), np.flatnonzero(end)
+    # '|' and '\n' alternate, starting with '|': one bar per line.
+    if bars.size != ends.size or (bars > ends).any() or (bars[1:] < ends[:-1]).any():
+        return None
+    starts = np.empty_like(ends)  # first token of each line
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    k = ends - bars
+    if (bars + 1 - starts != k).any():
+        return None
+    values = np.fromstring(raw.translate(_SEPARATORS_TO_COMMAS), dtype=np.int32, sep=",")
+    if values.size != seps.size:
+        return None
+    in_l = np.zeros(seps.size + 1, dtype=np.int8)
+    in_l[bars + 1] = 1
+    in_l[ends + 1] -= 1
+    in_l = np.cumsum(in_l[:-1], dtype=np.int8).astype(bool)
+    t, leaves = values[~in_l], values[in_l]
+    node_start = np.repeat(np.cumsum(k) - k, k)  # each node's line's first node
+    pos = np.arange(t.size) - node_start  # rank - 1 within its shape
+    # S1: t[0] == 0 and 1 <= t[i] <= i.
+    if ((t > pos) | ((t == 0) != (pos == 0))).any():
+        return None
+    internal = np.bincount((node_start + t - 1)[pos > 0], minlength=t.size)
+    if (internal + leaves < 2).any():  # S3, S4
+        return None
+    return k, internal, leaves
 
 
 def _as_matrix(f) -> np.ndarray:
@@ -304,6 +367,10 @@ class TreeShape:
         _set_field(shape, "l", l)
         _set_field(shape, "sort_index", (len(t), t, l))
         return shape
+
+    def __hash__(self) -> int:
+        # sort_index repeats t and l; the dataclass hash would walk them twice.
+        return hash((self.t, self.l))
 
     @property
     def n_tips(self) -> int:

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .shapes import TreeShape, _child_counts
 
 __all__ = ["ShapeStats", "StatsSummary", "shape_stats", "aggregate", "lower_median"]
@@ -70,26 +72,104 @@ def aggregate(
 ) -> StatsSummary:
     """Means and lower medians of K, max block, and average block, plus
     per-size cherry means (raw and scaled by each sample's tip count)."""
+    return _summary(_stats_columns(stats), cherry_sizes)
+
+
+# Below this many tips (n + k - 1) / k and c / n are float64 divisions of
+# exactly representable ints, which round as Python's int / int does.
+_MAX_TIPS = 2**53
+
+
+def _check_tips(n_max: int):
+    if n_max >= _MAX_TIPS:
+        raise ValueError(f"stats takes shapes with fewer than 2**53 tips, got {n_max}")
+
+
+class _Columns(NamedTuple):
+    """A sample as per-shape int64 columns, in sample order.  Cherry
+    counts are kept sparse, one (size m, shape index, count) column per
+    shape and m with a nonzero count, so a wide cherry range costs
+    nothing per shape."""
+
+    n: np.ndarray
+    k: np.ndarray
+    max_block: np.ndarray
+    cherries: np.ndarray  # (3, pairs)
+
+    def avg_block(self) -> np.ndarray:
+        return (self.n + self.k - 1) / self.k
+
+
+def _stats_columns(stats: Iterable[ShapeStats]) -> _Columns:
     items = list(stats)
-    if not items:
+    n = [s.n for s in items]
+    _check_tips(max(n, default=0))
+    cherries = [(m, i, c) for i, s in enumerate(items) for m, c in s.cherries]
+    return _Columns(
+        np.array(n, dtype=np.int64),
+        np.array([s.k for s in items], dtype=np.int64),
+        np.array([s.max_block for s in items], dtype=np.int64),
+        np.array(cherries, dtype=np.int64).reshape(-1, 3).T,
+    )
+
+
+def _node_columns(k: np.ndarray, internal: np.ndarray, leaves: np.ndarray) -> _Columns:
+    """Columns of shapes given node by node: K per shape, then every
+    node's internal-child and leaf counts (``children_counts()`` of each
+    shape, concatenated)."""
+    first = np.cumsum(k) - k
+    leaves = leaves.astype(np.int64)
+    n = np.add.reduceat(leaves, first)
+    _check_tips(int(n.max(initial=0)))
+    max_block = np.maximum.reduceat(internal + leaves, first)
+    shape = np.repeat(np.arange(k.size), k)
+    cherry = internal == 0
+    key, count = np.unique(leaves[cherry] * k.size + shape[cherry], return_counts=True)
+    cherries = np.stack((key // k.size, key % k.size, count))
+    return _Columns(n, k, max_block, cherries)
+
+
+def _concat_columns(parts: Sequence[_Columns]) -> _Columns:
+    """One sample from consecutive parts, renumbering the shapes."""
+    shift = np.cumsum([0] + [p.k.size for p in parts[:-1]])
+    return _Columns(
+        np.concatenate([p.n for p in parts]),
+        np.concatenate([p.k for p in parts]),
+        np.concatenate([p.max_block for p in parts]),
+        np.concatenate(
+            [p.cherries + [[0], [s], [0]] for p, s in zip(parts, shift)], axis=1
+        ),
+    )
+
+
+def _lower_median(x: np.ndarray):
+    return np.sort(x)[(x.size - 1) // 2].item()
+
+
+def _summary(cols: _Columns, cherry_sizes: Sequence[int]) -> StatsSummary:
+    """The one aggregation behind ``aggregate`` and ``mtshapes stats``.
+    Means of integer columns are Python-int sums over the count, and
+    float means are ``math.fsum`` sums, so the result does not depend
+    on how the sample was split or ordered before reaching here."""
+    count = cols.k.size
+    if not count:
         raise ValueError("cannot aggregate an empty sample")
-    count = len(items)
-    _, ks, maxes, avgs, _ = zip(*items)
+    avgs = cols.avg_block()
     totals = dict.fromkeys(cherry_sizes, 0)
-    terms = {m: [] for m in totals}  # per size, c / n of each shape with c > 0
-    for s in items:
-        for m, c in s.cherries:
-            if m in totals:
-                totals[m] += c
-                terms[m].append(c / s.n)
+    terms = dict.fromkeys(totals, ())  # per size, c / n of each shape with c > 0
+    size, shape, counts = cols.cherries
+    for m in totals.keys() & set(size.tolist()):
+        at = size == m
+        totals[m] = int(counts[at].sum())
+        terms[m] = (counts[at] / cols.n[shape[at]]).tolist()
     return StatsSummary(
         count=count,
-        mean_k=sum(ks) / count,
-        median_k=lower_median(ks),
-        mean_max_block=sum(maxes) / count,
-        median_max_block=lower_median(maxes),
-        mean_avg_block=math.fsum(avgs) / count,
-        median_avg_block=lower_median(avgs),
+        mean_k=int(cols.k.sum()) / count,
+        median_k=_lower_median(cols.k),
+        mean_max_block=int(cols.max_block.sum()) / count,
+        median_max_block=_lower_median(cols.max_block),
+        mean_avg_block=math.fsum(avgs.tolist()) / count,
+        median_avg_block=_lower_median(avgs),
         # Shapes without an m-cherry add exact zeros, which change neither sum.
         mean_cherries={m: c / count for m, c in totals.items()},
         scaled_cherries={m: math.fsum(v) / count for m, v in terms.items()},

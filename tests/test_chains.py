@@ -576,10 +576,18 @@ class TestExactKernels:
     @pytest.mark.parametrize(
         "exact", [exact_kernel, stationary_distribution, exact_bottleneck, exact_gap]
     )
-    def test_symmetric_needs_max_degree(self, exact, hasse):
-        # The symmetric chain holds with weight M_N, defined from N = 4.
-        with pytest.raises(ValueError, match="n must be >= 4"):
-            exact(hasse[3], "symmetric")
+    def test_symmetric_at_three_tips_is_the_random_walk(self, exact, hasse):
+        # M_3 = 1 and both shapes at N = 3 have degree 1, so the chains agree.
+        sym, rw = exact(hasse[3], "symmetric"), exact(hasse[3], "random-walk")
+        if isinstance(sym, np.ndarray):
+            assert np.array_equal(sym, rw)
+        elif isinstance(sym, chains.GapResult):
+            assert (sym.gamma, sym.gamma_star, sym.t_rel) == (rw.gamma, rw.gamma_star, rw.t_rel)
+            assert np.array_equal(sym.eigenvalues, rw.eigenvalues)
+        else:
+            assert (sym.phi_star, sym.minimizers) == (rw.phi_star, rw.minimizers)
+        with pytest.raises(ValueError, match="isolated shape"):
+            exact(hasse[2], "symmetric")
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     @pytest.mark.parametrize("kind", ["symmetric", "random-walk"])

@@ -183,6 +183,17 @@ class TestBoundsAndExact:
         assert out.splitlines()[-1] == f"exact: {exact!r}"
         assert "np.float64" not in out
 
+    def test_exact_symmetric_at_three_tips(self, capsys):
+        # Every shape at N = 3 has degree M_3 = 1: the symmetric chain is the walk.
+        records = {}
+        for chain in ("sym", "rw"):
+            code, out, _ = run_cli(capsys, "exact", "--n", "3", "--chain", chain, "--json")
+            assert code == 0
+            records[chain] = json.loads(out)
+        assert records["sym"].pop("chain") == "symmetric"
+        assert records["rw"].pop("chain") == "random-walk"
+        assert records["sym"] == records["rw"]
+
     def test_exact_random_walk(self, capsys):
         _, out, _ = run_cli(capsys, "exact", "--n", "4", "--chain", "rw", "--json")
         data = json.loads(out)

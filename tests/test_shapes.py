@@ -527,6 +527,18 @@ class TestTreeShape:
         assert a == b and hash(a) == hash(b)
         assert a != TreeShape((0, 1), (1, 3))
 
+    def test_hash_agrees_across_constructors(self):
+        for shape in all_shapes(6):
+            t, l = shape.t, shape.l
+            built = [
+                TreeShape(list(t), list(l)),
+                TreeShape._trusted(t, l),
+                TreeShape.from_text(shape.to_text()),
+            ]
+            assert all(b == shape and hash(b) == hash(shape) for b in built)
+            assert hash(shape) == hash((t, l))
+            assert len({shape, *built}) == 1
+
     def test_ordering_matches_generation(self):
         shapes = all_shapes(6)
         assert shapes == sorted(shapes)

@@ -24,6 +24,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -217,10 +218,20 @@ def semi_random_init(n: int, k: int, rng: np.random.Generator) -> TreeShape:
 
 @dataclass
 class RunResult:
-    """Thinned samples per chain, with per-chain acceptance rates."""
+    """Thinned samples per chain, with per-chain acceptance rates.
 
-    samples: list[list[TreeShape]]
+    ``lines`` holds each chain's samples as canonical text (``to_text``),
+    made where the chain ran, so forked workers send back strings rather
+    than pickled shapes.  ``samples`` decodes them into shapes on first
+    access and keeps them; equality compares the lines and the rates.
+    """
+
+    lines: list[list[str]]
     acceptance_rates: list[float]
+
+    @cached_property
+    def samples(self) -> list[list[TreeShape]]:
+        return [list(map(TreeShape._from_own_text, chain)) for chain in self.lines]
 
     def pooled(self) -> list[TreeShape]:
         """All samples concatenated in chain-index order."""
@@ -242,7 +253,7 @@ def _run_one_chain(n, sampler, n_steps, thin, k, seed_seq):
     for s in range(1, n_steps + 1):
         stepper(state, rng)
         if s % thin == 0:
-            out.append(state.shape)
+            out.append(state.shape.to_text())
     return out, state.acceptance_rate
 
 
@@ -299,7 +310,7 @@ def run_chains(
     else:
         results = [_run_one_chain(*a) for a in jobs]
     return RunResult(
-        samples=[r[0] for r in results],
+        lines=[r[0] for r in results],
         acceptance_rates=[r[1] for r in results],
     )
 

@@ -293,21 +293,14 @@ def cmd_sample_uniform(args) -> int:
         thin=args.thin,
         threads=args.threads,
     )
-    if args.jsonl:
-        for chain_id, chain in enumerate(result.samples):
-            for idx, shape in enumerate(chain):
-                _emit(
-                    json.dumps(
-                        {
-                            "chain": chain_id,
-                            "step": (idx + 1) * args.thin,
-                            "shape": shape.to_text(),
-                        }
-                    )
+    # The chains send back canonical text; no shape is rebuilt here.
+    for chain_id, chain in enumerate(result.lines):
+        for idx, line in enumerate(chain):
+            if args.jsonl:
+                line = json.dumps(
+                    {"chain": chain_id, "step": (idx + 1) * args.thin, "shape": line}
                 )
-    else:
-        for shape in result.pooled():
-            _emit(shape.to_text())
+            _emit(line)
     rates = " ".join(f"{r:.4f}" for r in result.acceptance_rates)
     print(f"acceptance rates: {rates}", file=sys.stderr)
     return 0
@@ -338,6 +331,8 @@ def cmd_semi_random(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.max_cherry < 1:
+        raise ValueError(f"max-cherry must be >= 1, got {args.max_cherry}")
     cols = _sample_columns(_read_text(args.infile))
     sizes = range(2, args.max_cherry + 1)
     record = dataclasses.asdict(_summary(cols, sizes))  # json writes int keys as strings

@@ -21,8 +21,9 @@ checked exactly once, where it enters: ``TreeShape(t, l)``, ``from_text``,
 ``lub_fmatrix``, ``collapse_edge_fmatrix`` and the bulk text reader
 ``_text_columns``.  Every shape the package derives from checked data (a
 collapse, a split, a decoded F-matrix, a least upper bound, a generated
-or a sampled shape) is built through ``TreeShape._trusted`` and not
-checked again.
+or a sampled shape, or one decoded by ``TreeShape._from_own_text`` from a
+line that ``to_text`` wrote) is built through ``TreeShape._trusted`` and
+not checked again.
 """
 
 from __future__ import annotations
@@ -326,6 +327,22 @@ def _fmatrix_vectors(m: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (0, *(drops.argmax(axis=1) + 1).tolist()), tuple(d[-1].tolist())
 
 
+class _Decimals(dict):
+    """Decimal strings of ints, each made once and kept for 0 <= k < 1024
+    (every count of a shape with fewer than 1024 tips); larger ones are
+    made per call, so the table stays bounded."""
+
+    __slots__ = ()
+
+    def __missing__(self, k):
+        s = str(k)
+        if 0 <= k < 1024:
+            self[k] = s
+        return s
+
+
+_decimal = _Decimals().__getitem__
+
 # Sets a field of a frozen TreeShape; bound once, as chain steps build a
 # shape per move.  Writing to ``shape.__dict__`` instead would be faster
 # still but gives every shape a separate dict, 64 bytes more each.
@@ -395,7 +412,16 @@ class TreeShape:
 
     def to_text(self) -> str:
         """Compact form ``"t1,...,tK|l1,...,lK"``, e.g. ``"0|4"``."""
-        return ",".join(map(str, self.t)) + "|" + ",".join(map(str, self.l))
+        return ",".join(map(_decimal, self.t)) + "|" + ",".join(map(_decimal, self.l))
+
+    @classmethod
+    def _from_own_text(cls, text: str) -> "TreeShape":
+        """Decode a line that ``to_text`` wrote, without checking it again:
+        only for text the package made from shapes it built."""
+        left, right = text.split("|")
+        return cls._trusted(
+            tuple(map(int, left.split(","))), tuple(map(int, right.split(",")))
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "TreeShape":

@@ -328,6 +328,12 @@ class TestWorkerProcesses:
         assert h.hexdigest() == GOLDEN_STREAMS[sampler, n]
         assert pool_starts == ["fork"]
 
+    def test_result_equals_serial(self, pool_starts):
+        kw = dict(n_chains=3, n_steps=120, seed=41, thin=2)
+        forked = run_chains(20, threads=2, **kw)
+        assert pool_starts == ["fork"]
+        assert forked == run_chains(20, threads=1, **kw)
+
     def test_worker_error_reaches_caller(self, pool_starts):
         with pytest.raises(ValueError, match=r"^shape has no neighbors \(single-shape space\)$"):
             run_chains(2, "symmetric", n_chains=2, n_steps=1, seed=0, threads=2)
@@ -499,6 +505,15 @@ class TestRunChains:
         kw = dict(n_chains=1, n_steps=1, thin=1) | {field: 0}
         with pytest.raises(ValueError, match="^n_chains, n_steps and thin must be positive$"):
             run_chains(5, seed=0, **kw)
+
+    def test_lines_decode_to_samples(self):
+        r = run_chains(9, "mh-uniform", n_chains=3, n_steps=60, seed=8, thin=3)
+        assert r.samples is r.samples
+        assert r.lines == [[s.to_text() for s in chain] for chain in r.samples]
+        for line, s in zip([x for chain in r.lines for x in chain], r.pooled()):
+            assert s == TreeShape.from_text(line)
+            assert type(s.t) is tuple and type(s.l) is tuple
+            assert {type(x) for x in s.t + s.l} == {int}
 
     def test_pooled_size_with_thinning(self):
         r = run_chains(6, "random-walk", n_chains=3, n_steps=100, seed=1, thin=10)

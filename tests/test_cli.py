@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from mtshapes import TreeShape, count_space, covers, generate_all
+from mtshapes import TreeShape, chains, count_space, covers, generate_all
 from mtshapes.chains import MAX_KERNEL_BYTES
 from mtshapes.cli import build_parser, main
 from mtshapes.enumeration import MAX_COUNT_TIPS, _pair_entries
@@ -245,7 +245,43 @@ class TestBoundsAndExact:
         assert f"cap is {MAX_KERNEL_BYTES // 10**6} MB" in err
 
 
+# sha256 of `sample-uniform` stdout, taken when the chains still sent back
+# shapes for the CLI to format; the same under --threads 1 and 2.
+UNIFORM_DIGESTS = {
+    ("--n", "20", "--chains", "19", "--steps", "1000", "--thin", "2", "--seed", "1234"):
+        "f159243d26d30b3180b1d4930024db027e6c942755761df9fe472f38bf37b961",
+    ("--n", "7", "--chains", "5", "--steps", "500", "--seed", "3", "--jsonl"):
+        "d5ae53e6fe36676a58a68bad0c33df9a56e5c9631435299e6dbfe2a6e9a1c1e1",
+}
+
+
+@pytest.fixture
+def samples_unread(monkeypatch):
+    """``RunResult.samples`` raises: the CLI writes the chains' text lines
+    without decoding them into shapes."""
+
+    def refuse(self):
+        raise AssertionError("RunResult.samples was read")
+
+    monkeypatch.setattr(chains.RunResult, "samples", property(refuse))
+
+
 class TestSampling:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("args", list(UNIFORM_DIGESTS), ids=["text-n20", "jsonl-n7"])
+    def test_uniform_stdout_is_pinned(self, capsys, samples_unread, args, threads):
+        code, out, err = run_cli(capsys, "sample-uniform", *args, "--threads", threads)
+        assert code == 0 and err.startswith("acceptance rates: ")
+        assert hashlib.sha256(out.encode()).hexdigest() == UNIFORM_DIGESTS[args]
+
+    @pytest.mark.parametrize("fmt", [(), ("--jsonl",)], ids=["text", "jsonl"])
+    def test_uniform_fewer_steps_than_thin_writes_nothing(self, capsys, fmt):
+        code, out, _ = run_cli(
+            capsys, "sample-uniform", "--n", "7", "--chains", "3", "--steps", "2",
+            "--thin", "5", "--seed", "3", *fmt,
+        )
+        assert (code, out) == (0, "")
+
     def test_uniform_reproducible_and_thread_invariant(self, capsys):
         args = ["sample-uniform", "--n", "6", "--chains", "2", "--steps", "6", "--seed", "4"]
         _, out1, _ = run_cli(capsys, *args)
@@ -378,6 +414,16 @@ class TestStats:
         assert code == 1 and out == ""
         assert err.startswith('error: line 3: "t" must be a list of integers')
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_cherry_below_one_is_refused(self, capsys, tmp_path, value):
+        src = tmp_path / "shapes.txt"
+        src.write_text("0|4\n")
+        for fmt in ((), ("--json",)):
+            code, out, err = run_cli(
+                capsys, "stats", "--in", str(src), "--max-cherry", value, *fmt
+            )
+            assert (code, out, err) == (1, "", f"error: max-cherry must be >= 1, got {value}\n")
+
     def test_empty_input(self, capsys, tmp_path):
         src = tmp_path / "empty.txt"
         src.write_text("\n")
@@ -452,10 +498,13 @@ def test_option_census():
          "--seed", "1", "--threads", "-3"],
         ["sample-coalescent", "--n", "5", "--alpha", "inf", "--count", "1",
          "--seed", "1"],
+        ["stats", "--in", "{tmp}", "--max-cherry", "0"],
+        ["stats", "--in", "{tmp}", "--max-cherry", "-3"],
     ],
     ids=[
         "stats-missing-file", "hasse-missing-dir", "lub-directory", "hasse-n10",
         "bounds-n10-exact", "bounds-past-count-cap", "threads-0", "threads-negative", "alpha-inf",
+        "max-cherry-0", "max-cherry-negative",
     ],
 )
 def test_error_contract(capsys, tmp_path, argv):

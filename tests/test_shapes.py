@@ -22,6 +22,7 @@ from mtshapes import (
     validate_string,
 )
 from mtshapes.chains import semi_random_init
+from mtshapes.coalescent import UNIFORM_MEASURE, sample_topologies
 from mtshapes.enumeration import _compositions
 from mtshapes.shapes import fmatrix_to_string, string_to_fmatrix
 from mtshapes import shapes as shapes_module
@@ -426,6 +427,12 @@ class TestCollapse:
         assert validate_fmatrix(bad) == "F1"
 
 
+def str_join_text(s):
+    """The text form as ``str`` of every count: the reference for
+    ``to_text``, which formats from a table of decimal strings."""
+    return ",".join(map(str, s.t)) + "|" + ",".join(map(str, s.l))
+
+
 class TestSerialization:
     def test_star_text(self):
         assert TreeShape((0,), (4,)).to_text() == "0|4"
@@ -434,11 +441,24 @@ class TestSerialization:
     def test_twelve_tip_example_text(self):
         assert FIG3.to_text() == "0,1,2,3,3|3,1,2,3,3"
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_roundtrip(self, n):
         for s in all_shapes(n):
+            assert s.to_text() == str_join_text(s)
             assert TreeShape.from_text(s.to_text()) == s
             assert TreeShape.from_json(s.to_json()) == s
+
+    def test_to_text_past_the_decimal_table(self):
+        table = shapes_module._decimal.__self__
+        for s in (
+            TreeShape((0, 1), (1023, 1024)),
+            TreeShape((0,), (10**6,)),
+            TreeShape((0, 1), (10**6, 1023)),
+        ):
+            assert s.to_text() == str_join_text(s)
+        assert table[1023] == "1023"
+        assert 1024 not in table and 10**6 not in table
+        assert len(table) <= 1024
 
     def test_parse_errors_carry_offsets(self):
         with pytest.raises(ParseError) as err:
@@ -596,6 +616,21 @@ def test_random_shape_roundtrips(n, seed):
     assert TreeShape.from_fmatrix(f) == s
     assert TreeShape.from_text(s.to_text()) == s
     assert TreeShape.from_json(s.to_json()) == s
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=50),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_random_to_text_matches_str_join(n, seed):
+    rng = np.random.default_rng(seed)
+    shapes = [
+        semi_random_init(n, int(rng.integers(1, n)), rng),
+        *sample_topologies(n, UNIFORM_MEASURE, 2, rng),
+    ]
+    for s in shapes:
+        assert s.to_text() == str_join_text(s)
 
 
 @settings(max_examples=60, deadline=None)

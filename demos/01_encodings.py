@@ -19,6 +19,7 @@ from mtshapes import (
     validate_fmatrix,
     validate_string,
 )
+from mtshapes.shapes import string_to_fmatrix
 
 shape = TreeShape.from_text("0,1,2,3,3|3,1,2,3,3")
 print("shape:", shape)
@@ -30,7 +31,7 @@ print("(internal children, leaves) per node:", shape.children_counts())
 print("\nD-matrix (unfurcated children of node j after event i):")
 print(string_to_dmatrix(shape.t, shape.l))
 print("\nF-matrix (row-wise prefix sums of D):")
-f = shape.fmatrix()
+f = string_to_fmatrix(shape.t, shape.l)
 print(f)
 print("valid F-matrix:", validate_fmatrix(f, n=12) is None)
 

@@ -45,7 +45,6 @@ __all__ = [
     "GapResult",
     "BoundReport",
     "random_below",
-    "uniform_neighbor",
     "step_symmetric",
     "step_random_walk",
     "step_mh_uniform",
@@ -57,6 +56,8 @@ __all__ = [
     "exact_bottleneck",
     "exact_gap",
     "mixing_bounds",
+    "MAX_KERNEL_BYTES",
+    "MAX_BOTTLENECK_VERTICES",
 ]
 
 KINDS = ("symmetric", "random-walk")
@@ -121,12 +122,6 @@ def _below(word, state, n: int) -> int:
         r >>= shift
         if r < n:
             return r
-
-
-def uniform_neighbor(rng: np.random.Generator, nbhd: Neighborhood) -> TreeShape:
-    """A uniformly chosen neighbor of ``nbhd.shape``."""
-    _require_neighbors(nbhd)
-    return nbhd.neighbor(random_below(rng, nbhd.degree))
 
 
 def _require_neighbors(nbhd: Neighborhood) -> None:

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-from math import exp, inf, lgamma
+from math import inf, lgamma
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .shapes import TreeShape
 __all__ = [
     "BetaMeasure",
     "UNIFORM_MEASURE",
-    "merger_rate",
     "merger_distribution",
     "sample_topologies",
 ]
@@ -63,19 +62,6 @@ UNIFORM_MEASURE = BetaMeasure(1.0, 1.0)
 
 def _log_beta(x: float, y: float) -> float:
     return lgamma(x) + lgamma(y) - lgamma(x + y)
-
-
-def merger_rate(n_lineages: int, k: int, measure: BetaMeasure) -> float:
-    """Rate at which any fixed k-subset of ``n_lineages`` merges.
-
-    The Beta integral collapses to a ratio of Beta functions, evaluated
-    in log space so large lineage counts cannot overflow.  For the
-    uniform measure this is (k-2)!(b-k)!/(b-1)!.
-    """
-    if not 2 <= k <= n_lineages:
-        raise ValueError(f"k must be in 2..{n_lineages}, got {k}")
-    a, b = measure.a, measure.b
-    return exp(_log_beta(k - 2 + a, n_lineages - k + b) - _log_beta(a, b))
 
 
 def merger_distribution(n_lineages: int, measure: BetaMeasure) -> np.ndarray:

@@ -21,13 +21,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .shapes import TreeShape, _child_counts, _min_leaves
+from .shapes import TreeShape, _min_leaves
 
 __all__ = [
     "MAX_COUNT_TIPS",
     "MAX_GENERATED_SHAPES",
     "PairTable",
-    "k0_k1",
     "valid_pairs",
     "pair_table",
     "count_shapes",
@@ -44,15 +43,6 @@ MAX_GENERATED_SHAPES = 10_000
 #: at N fills pair tables of about N^3/12 entries that stay cached for the
 #: life of the process: 95 MB at N = 150, 779 MB at N = 300.
 MAX_COUNT_TIPS = 150
-
-
-def k0_k1(t) -> tuple[int, int]:
-    """Count ranks absent from / appearing exactly once in ``t[1:]``.
-
-    The placeholder 0 at the front is never counted.
-    """
-    counts = _child_counts(t)
-    return counts.count(0), counts.count(1)
 
 
 def valid_pairs(k: int) -> frozenset[tuple[int, int]]:

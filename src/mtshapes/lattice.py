@@ -16,7 +16,6 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import index
 
 import numpy as np
 
@@ -28,12 +27,10 @@ __all__ = [
     "present_edges",
     "covers",
     "split_count",
-    "refine_node",
     "Neighborhood",
     "refinements_below",
     "deg_plus",
     "deg_minus",
-    "degree",
     "max_degree_tree",
     "max_degree",
     "lub",
@@ -84,27 +81,8 @@ def _memo_split_count(profile: tuple[int, int]) -> int:
     return split_count(*profile)
 
 
-def refine_node(shape: TreeShape, node: int, moved: tuple[int, ...], leaves: int) -> TreeShape:
-    """Split ``node`` by inserting a new node of rank ``node + 1`` that
-    takes the internal children ``moved`` (old ranks) plus ``leaves`` of
-    the node's leaves.  Inverse of collapsing edge (node, node + 1).
-    """
-    t, l = shape.t, shape.l
-    k = len(t)
-    node, leaves = index(node), index(leaves)
-    if not 1 <= node <= k:
-        raise ValueError(f"node must be in 1..{k}, got {node}")
-    moved_set = frozenset(moved)
-    if any(c < 2 or c > k or t[c - 1] != node for c in moved_set):
-        raise ValueError(f"moved ranks must be internal children of node {node}")
-    size = len(moved_set) + leaves
-    if leaves < 0 or leaves > l[node - 1] or not 2 <= size <= t.count(node) + l[node - 1] - 1:
-        raise ValueError("split must move at least 2 and leave at least 1 child")
-    return _refined(shape, node, moved_set, leaves)
-
-
 def _refined(shape: TreeShape, node: int, moved, leaves: int) -> TreeShape:
-    # refine_node on arguments already known to be a valid split.
+    # Split ``node``: rank node + 1 is a new node holding ``moved`` and ``leaves`` leaves.
     t, l = shape.t, shape.l
     new_t = t[:node] + (node,) + tuple(
         node + 1 if c in moved else (p if p <= node else p + 1)
@@ -265,10 +243,6 @@ def deg_plus(shape: TreeShape) -> int:
 def deg_minus(shape: TreeShape) -> int:
     """Number of one-step refinements, by the per-node split formula."""
     return sum(Neighborhood(shape).splits)
-
-
-def degree(shape: TreeShape) -> int:
-    return Neighborhood(shape).degree
 
 
 def max_degree_tree(n: int) -> tuple[TreeShape, int]:

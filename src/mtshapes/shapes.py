@@ -17,7 +17,8 @@ encodings, and text/JSON serialization.
 
 One rule governs construction across the package.  Input from outside is
 checked exactly once, where it enters: ``TreeShape(t, l)``, ``from_text``,
-``from_json``, ``from_fmatrix``/``fmatrix_to_string``, ``validate_*``,
+``from_json``, ``from_fmatrix``/``fmatrix_to_string``,
+``string_to_dmatrix``/``string_to_fmatrix``, ``validate_*``,
 ``lub_fmatrix``, ``collapse_edge_fmatrix`` and the bulk text reader
 ``_text_columns``.  Every shape the package derives from checked data (a
 collapse, a split, a decoded F-matrix, a least upper bound, a generated
@@ -282,8 +283,13 @@ def string_to_dmatrix(t, l) -> np.ndarray:
     Entry (i, j) is the number of children of node j+1 (leaves plus
     internal nodes of rank > i+1) still unfurcated just after the
     (i+1)-th furcation.  The F-matrix is the row-wise prefix sum.
+    Vectors that break a rule S1-S4 raise ``InvalidShapeError``.
     """
-    t, l = _check_vectors(t, l)
+    return _dmatrix(TreeShape(t, l))
+
+
+def _dmatrix(shape: TreeShape) -> np.ndarray:
+    t, l = shape.t, shape.l
     k = len(t)
     marks = np.zeros((k, k), dtype=np.int64)
     if k > 1:
@@ -295,9 +301,9 @@ def string_to_dmatrix(t, l) -> np.ndarray:
 
 
 def string_to_fmatrix(t, l) -> np.ndarray:
-    """Convert the vector-pair encoding to the F-matrix encoding."""
-    d = string_to_dmatrix(t, l)
-    return np.tril(np.cumsum(d, axis=1))
+    """Convert the vector-pair encoding to the F-matrix encoding; vectors
+    that break a rule S1-S4 raise ``InvalidShapeError``."""
+    return TreeShape(t, l).fmatrix()
 
 
 def _checked_fmatrix(f) -> np.ndarray:
@@ -402,7 +408,7 @@ class TreeShape:
         return tuple(zip(_child_counts(self.t), self.l))
 
     def fmatrix(self) -> np.ndarray:
-        return string_to_fmatrix(self.t, self.l)
+        return np.tril(np.cumsum(_dmatrix(self), axis=1))
 
     @classmethod
     def from_fmatrix(cls, f) -> "TreeShape":
@@ -512,10 +518,10 @@ def collapse_edge(shape: TreeShape, e: int) -> TreeShape:
 def collapse_edge_fmatrix(f, e: int) -> np.ndarray:
     """Merge adjacent-ranked nodes e and e+1 (matrix route).
 
-    Deletes row e and column e of the F-matrix; this is the matrix dual
-    of :func:`collapse_edge`.
+    Deletes row e and column e of the F-matrix (the matrix dual of
+    :func:`collapse_edge`); input breaking an F rule raises ``InvalidShapeError``.
     """
-    m = _as_matrix(f)
+    m = _checked_fmatrix(f)
     k = m.shape[0]
     _require_edge(k, e)
     if e > 1 and not np.array_equal(m[e - 1, : e - 1], m[e, : e - 1]):

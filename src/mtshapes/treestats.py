@@ -16,7 +16,7 @@ import numpy as np
 
 from .shapes import TreeShape, _child_counts
 
-__all__ = ["ShapeStats", "StatsSummary", "shape_stats", "aggregate", "lower_median"]
+__all__ = ["ShapeStats", "StatsSummary", "shape_stats", "aggregate"]
 
 
 class ShapeStats(NamedTuple):
@@ -43,13 +43,6 @@ def shape_stats(shape: TreeShape) -> ShapeStats:
             cherries[leaves] = cherries.get(leaves, 0) + 1
     n, k = sum(l), len(t)
     return ShapeStats(n, k, max_block, (n + k - 1) / k, tuple(sorted(cherries.items())))
-
-
-def lower_median(values: Sequence[float]) -> float:
-    """Median with the lower convention for even-length samples."""
-    if not values:
-        raise ValueError("median of an empty sample")
-    return sorted(values)[(len(values) - 1) // 2]
 
 
 @dataclass(frozen=True)

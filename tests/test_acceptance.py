@@ -62,7 +62,7 @@ from mtshapes.chains import (
     semi_random_init,
     step_mh_uniform,
 )
-from mtshapes.lattice import degree, max_degree
+from mtshapes.lattice import Neighborhood, max_degree
 from test_enumeration import TABLE_CELLS, eulerian
 from test_shapes import FX, FY
 
@@ -237,7 +237,7 @@ def test_c07_degrees(graphs):
     assert max_degree(4) == 3 and max_degree(5) == 5
     for n in range(4, 10):
         tree, m = max_degree_tree(n)
-        tops = [s for s in generate_all(n) if degree(s) == m]
+        tops = [s for s in generate_all(n) if Neighborhood(s).degree == m]
         assert tops == [tree]
     report("7 (degree formulas vs graphs N<=7; maximum-degree shapes N<=9): PASS")
 

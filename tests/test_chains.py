@@ -38,9 +38,9 @@ from mtshapes.chains import (
     step_mh_uniform,
     step_random_walk,
     step_symmetric,
-    uniform_neighbor,
 )
-from mtshapes.lattice import Neighborhood, max_degree, refine_node, split_count
+from mtshapes.lattice import Neighborhood, max_degree, split_count
+from test_moves import reference_split
 
 
 def rng_from(seed):
@@ -58,7 +58,7 @@ def reference_refinements(shape):
         for s in range(2, ki + li):
             for j in range(max(0, s - ki), min(s, li) + 1):
                 for moved in itertools.combinations(children[i - 1], s - j):
-                    out.add(refine_node(shape, i, moved, j))
+                    out.add(reference_split(shape, i, moved, j))
     return out
 
 
@@ -196,7 +196,7 @@ class TestNeighborEnumeration:
     def test_uniform_neighbor_returns_degree(self):
         s = TreeShape((0, 1), (2, 2))
         nbhd = Neighborhood(s)
-        nbr = uniform_neighbor(rng_from(1), nbhd)
+        nbr = nbhd.neighbor(random_below(rng_from(1), nbhd.degree))
         assert nbhd.degree == 3
         assert nbr in covers(s) | refinements_below(s)
 

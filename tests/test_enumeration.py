@@ -18,7 +18,7 @@ from mtshapes import (
     validate_string,
 )
 from mtshapes import build_hasse, enumeration
-from mtshapes.enumeration import k0_k1, valid_pairs
+from mtshapes.enumeration import valid_pairs
 from mtshapes.shapes import _min_leaves
 
 # Per-K counts, checked against the published table and against two
@@ -68,6 +68,14 @@ def all_t_vectors(k):
         return
     for rest in itertools.product(*(range(1, i) for i in range(2, k + 1))):
         yield (0,) + rest
+
+
+def k0_k1(t):
+    """How many ranks are absent from ``t[1:]`` and how many appear there
+    exactly once (the placeholder 0 is never counted)."""
+    seen = Counter(t[1:])
+    ranks = range(1, len(t) + 1)
+    return sum(seen[r] == 0 for r in ranks), sum(seen[r] == 1 for r in ranks)
 
 
 def count_by_t_sum(n, k):

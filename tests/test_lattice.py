@@ -12,6 +12,7 @@ from mtshapes import (
     UNIFORM_MEASURE,
     InvalidShapeError,
     TreeShape,
+    collapse_edge_fmatrix,
     covers,
     deg_minus,
     deg_plus,
@@ -27,9 +28,10 @@ from mtshapes import (
     validate_string,
 )
 from mtshapes.chains import ChainState, semi_random_init, step_random_walk
-from mtshapes.lattice import degree, max_degree, refine_node, split_count
+from mtshapes.lattice import Neighborhood, max_degree, split_count
 from mtshapes import lattice
 from mtshapes import shapes as shapes_module
+from test_moves import reference_split
 from test_shapes import FX, FY
 
 STAR7 = TreeShape((0,), (7,))
@@ -151,7 +153,7 @@ class TestDegrees:
         tree, m = max_degree_tree(9)
         assert tree == TreeShape((0, 1, 1, 1), (3, 2, 2, 2))
         assert deg_plus(tree) == 1
-        assert m == degree(tree)
+        assert m == Neighborhood(tree).degree
 
     def test_max_degree_tree_domain(self):
         with pytest.raises(ValueError):
@@ -160,31 +162,24 @@ class TestDegrees:
     @pytest.mark.parametrize("n", range(4, 9))
     def test_argmax_is_unique(self, n):
         tree, m = max_degree_tree(n)
-        tops = [s for s in generate_all(n) if degree(s) == m]
-        assert tops == [tree]
-        assert all(degree(s) <= m for s in generate_all(n))
+        degrees = {s: Neighborhood(s).degree for s in generate_all(n)}
+        assert [s for s, d in degrees.items() if d == m] == [tree]
+        assert max(degrees.values()) == m
 
 
 class TestRefineNode:
     def test_split_star(self):
+        # the in-test reference_split, which other tests use as an oracle,
+        # against worked splits and the library's refinement set
         star = TreeShape((0,), (6,))
-        assert refine_node(star, 1, (), 2) == TreeShape((0, 1), (4, 2))
-        assert refine_node(star, 1, (), 5) == TreeShape((0, 1), (1, 5))
-
-    def test_bad_split_sizes(self):
-        star = TreeShape((0,), (6,))
-        with pytest.raises(ValueError):
-            refine_node(star, 1, (), 1)
-        with pytest.raises(ValueError):
-            refine_node(star, 1, (), 6)
-
-    def test_bad_split_arguments(self):
+        assert reference_split(star, 1, (), 2) == TreeShape((0, 1), (4, 2))
+        assert reference_split(star, 1, (), 5) == TreeShape((0, 1), (1, 5))
+        assert refinements_below(star) == {
+            reference_split(star, 1, (), j) for j in range(2, 6)
+        }
         s = TreeShape((0, 1, 1), (2, 2, 2))
-        with pytest.raises(ValueError, match="node"):
-            refine_node(s, 4, (), 2)
-        with pytest.raises(ValueError, match="children"):
-            refine_node(s, 2, (3,), 1)  # node 3 is not a child of node 2
-        assert refine_node(s, 1, (2,), 1).n_internal == 4
+        assert reference_split(s, 1, (2,), 1) == TreeShape((0, 1, 2, 1), (1, 1, 2, 2))
+        assert reference_split(s, 1, (2,), 1) in refinements_below(s)
 
 
 class TestLub:
@@ -258,6 +253,12 @@ class TestLub:
         # [[3, 0], [0, 5]] breaks F1: its subdiagonal entry is not 3 - 1
         with pytest.raises(InvalidShapeError) as exc:
             lub_fmatrix(fx, fy)
+        assert exc.value.constraint == "F1"
+
+    def test_collapse_input_must_pass_the_f_rules(self):
+        # the same matrix, unchecked, would collapse to the star [[5]]
+        with pytest.raises(InvalidShapeError) as exc:
+            collapse_edge_fmatrix([[3, 0], [0, 5]], 1)
         assert exc.value.constraint == "F1"
 
     def test_violating_columns_match_loop(self):

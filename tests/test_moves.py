@@ -27,13 +27,7 @@ from mtshapes.chains import (
     step_random_walk,
     step_symmetric,
 )
-from mtshapes.lattice import (
-    Neighborhood,
-    max_degree,
-    max_degree_tree,
-    refine_node,
-    split_count,
-)
+from mtshapes.lattice import Neighborhood, max_degree, max_degree_tree, split_count
 
 STEPPERS = {
     "mh-uniform": step_mh_uniform,
@@ -78,6 +72,24 @@ def reference_unrank_combination(items, size, rank):
     return tuple(out)
 
 
+def reference_split(shape, node, moved, leaves):
+    """Split ``node``: a new node of rank ``node + 1`` takes the internal
+    children ``moved`` (old ranks) and ``leaves`` of its leaves.  Built by
+    renumbering the ranks, through the validating constructor."""
+
+    def new_rank(r):
+        return r if r <= node else r + 1
+
+    parents = {new_rank(c): new_rank(p) for c, p in enumerate(shape.t[1:], start=2)}
+    parents.update({new_rank(c): node + 1 for c in moved})
+    parents[node + 1] = node
+    t = (0,) + tuple(parents[r] for r in range(2, len(shape.t) + 2))
+    l = list(shape.l)
+    l[node - 1] -= leaves
+    l.insert(node, leaves)
+    return TreeShape(t, l)
+
+
 def reference_neighbor(shape, rank):
     """The rank-th neighbour, unranked as before moves were patched: the
     collapses by edge, then each node's splits by size, moved leaves and
@@ -97,7 +109,7 @@ def reference_neighbor(shape, rank):
                 if rank < cell:
                     children = [c for c, p in enumerate(shape.t, 1) if p == node]
                     moved = reference_unrank_combination(children, s - j, rank)
-                    return refine_node(shape, node, moved, j)
+                    return reference_split(shape, node, moved, j)
                 rank -= cell
     raise ValueError("rank exceeds the degree")
 

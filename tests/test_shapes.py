@@ -347,6 +347,13 @@ class TestConversions:
             f = s.fmatrix()
             assert TreeShape.from_fmatrix(f) == s
 
+    @pytest.mark.parametrize("convert", [string_to_dmatrix, string_to_fmatrix])
+    @pytest.mark.parametrize("t, l, rule", [((0, 5), (2, 2), "S1"), ((0, 1), (0, 0), "S3")])
+    def test_vectors_must_pass_the_s_rules(self, convert, t, l, rule):
+        with pytest.raises(InvalidShapeError) as exc:
+            convert(t, l)
+        assert exc.value.constraint == rule
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_dmatrix_invariants(self, n):
         # per-furcation child counts: last row sums to the tip count,

@@ -19,7 +19,11 @@ import pytest
 from mtshapes import TreeShape, generate_all
 from mtshapes import shapes as shapes_module
 from mtshapes.cli import _text_blocks, main
-from mtshapes.treestats import StatsSummary, lower_median, shape_stats
+from mtshapes.treestats import StatsSummary, shape_stats
+
+
+def _lower_median(values):
+    return sorted(values)[(len(values) - 1) // 2]
 
 
 def _reference_aggregate(stats, cherry_sizes):
@@ -36,11 +40,11 @@ def _reference_aggregate(stats, cherry_sizes):
     return StatsSummary(
         count=count,
         mean_k=sum(ks) / count,
-        median_k=lower_median(ks),
+        median_k=_lower_median(ks),
         mean_max_block=sum(maxes) / count,
-        median_max_block=lower_median(maxes),
+        median_max_block=_lower_median(maxes),
         mean_avg_block=math.fsum(avgs) / count,
-        median_avg_block=lower_median(avgs),
+        median_avg_block=_lower_median(avgs),
         mean_cherries={m: c / count for m, c in totals.items()},
         scaled_cherries={m: math.fsum(v) / count for m, v in terms.items()},
     )

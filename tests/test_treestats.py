@@ -5,7 +5,7 @@ import pytest
 
 from mtshapes import TreeShape, aggregate, generate_all, shape_stats
 from mtshapes.chains import ChainState, semi_random_init, step_mh_uniform
-from mtshapes.treestats import lower_median
+from mtshapes.treestats import ShapeStats
 
 
 class TestShapeStats:
@@ -55,16 +55,21 @@ class TestShapeStats:
             assert 2 <= st.max_block <= n
 
 
+def median_k(ks):
+    """``aggregate``'s median K over shapes with these K values."""
+    return aggregate([ShapeStats(9, k, 2, 1.0, ()) for k in ks]).median_k
+
+
 class TestLowerMedian:
     def test_odd(self):
-        assert lower_median([3, 1, 2]) == 2
+        assert median_k([3, 1, 2]) == 2
 
     def test_even_takes_lower(self):
-        assert lower_median([4, 1, 2, 3]) == 2
+        assert median_k([4, 1, 2, 3]) == 2
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            lower_median([])
+            median_k([])
 
 
 class TestAggregate:

@@ -36,7 +36,7 @@ from .lattice import (
     max_degree,
     split_count,  # noqa: F401  (kept importable: perfbench counts calls through it)
 )
-from .shapes import TreeShape
+from .shapes import TreeShape, _fmatrix_vectors
 
 __all__ = [
     "ChainState",
@@ -66,8 +66,8 @@ KINDS = ("symmetric", "random-walk")
 # eigensolve.  N = 8 (1108 shapes, 9.8 MB) fits; N = 9 (6092 shapes,
 # 297 MB before the eigensolve's own copies) does not.
 MAX_KERNEL_BYTES = 64 * 10**6
-# exact_bottleneck enumerates all 2^V subsets.
-MAX_BOTTLENECK_VERTICES = 20
+# exact_bottleneck enumerates all 2^V subsets: N = 5 has 15 shapes, N = 6 has 54.
+MAX_BOTTLENECK_VERTICES = 15
 
 
 @dataclass
@@ -205,7 +205,7 @@ def semi_random_fmatrix(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 def semi_random_init(n: int, k: int, rng: np.random.Generator) -> TreeShape:
     """A shape with exactly ``k`` internal nodes via the diagonal draw."""
-    return TreeShape.from_fmatrix(semi_random_fmatrix(n, k, rng))
+    return TreeShape._trusted(*_fmatrix_vectors(semi_random_fmatrix(n, k, rng)))
 
 
 # -- multi-chain runner -------------------------------------------------
@@ -332,11 +332,17 @@ def _weights(graph: LatticeGraph, kind: str) -> np.ndarray:
     return w
 
 
+def _edges(graph: LatticeGraph) -> tuple[list[int], list[int]]:
+    """The covering edges as parallel lists of lower and upper vertices."""
+    lower = [i for i, ups in enumerate(graph.up) for _ in ups]
+    upper = [j for ups in graph.up for j in ups]
+    return lower, upper
+
+
 def _adjacency(graph: LatticeGraph) -> np.ndarray:
     """Boolean V x V adjacency of the undirected covering graph."""
     adj = np.zeros((graph.n_vertices, graph.n_vertices), dtype=bool)
-    lower = [i for i, ups in enumerate(graph.up) for _ in ups]
-    upper = [j for ups in graph.up for j in ups]
+    lower, upper = _edges(graph)
     adj[lower + upper, upper + lower] = True
     return adj
 
@@ -392,11 +398,10 @@ def exact_bottleneck(graph: LatticeGraph, kind: str) -> BottleneckResult:
             f"subset enumeration over {v} vertices (2^{v} sets) refused; "
             f"cap is {MAX_BOTTLENECK_VERTICES}"
         )
-    adj = _adjacency(graph)
     masks = np.arange(1, 2**v, dtype=np.uint64)
-    member = (masks[:, None] >> np.arange(v, dtype=np.uint64)[None, :]) & 1
-    member = member.astype(bool)
-    cut = ((member @ adj.astype(np.int64)) * ~member).sum(1)
+    member = (masks[:, None] >> np.arange(v, dtype=np.uint64) & 1).astype(bool)
+    lower, upper = _edges(graph)
+    cut = (member[:, lower] != member[:, upper]).sum(1)
     vol = member @ w
     admissible = np.flatnonzero(2 * vol <= w.sum())
     cut, vol = cut[admissible], vol[admissible]

@@ -320,19 +320,21 @@ def cmd_semi_random(args) -> int:
     if args.count < 1:
         raise ValueError(f"count must be positive, got {args.count}")
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    ks = (
-        [args.k] * args.count
-        if args.k is not None
-        else [(i % (args.n - 1)) + 1 for i in range(args.count)]
-    )
-    for k in ks:
+    for i in range(args.count):
+        k = args.k if args.k is not None else i % (args.n - 1) + 1
         _emit(semi_random_init(args.n, k, rng).to_text())
     return 0
+
+
+# Largest --max-cherry: each cherry size is one more summary and CSV column.
+_MAX_CHERRY = 1000
 
 
 def cmd_stats(args) -> int:
     if args.max_cherry < 1:
         raise ValueError(f"max-cherry must be >= 1, got {args.max_cherry}")
+    if args.max_cherry > _MAX_CHERRY:
+        raise ValueError(f"max-cherry must be <= {_MAX_CHERRY}, got {args.max_cherry}")
     cols = _sample_columns(_read_text(args.infile))
     sizes = range(2, args.max_cherry + 1)
     record = dataclasses.asdict(_summary(cols, sizes))  # json writes int keys as strings

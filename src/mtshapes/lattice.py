@@ -264,7 +264,9 @@ def max_degree(n: int) -> int:
     """M_N, the largest degree of a shape with ``n`` tips.  Below N = 4
     the space is the star alone (N = 2, M_2 = 0) or the star and the one
     binary shape, each the other's only neighbor (N = 3, M_3 = 1)."""
-    if n in (2, 3):
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if n < 4:
         return n - 2
     return max_degree_tree(n)[1]
 

@@ -349,22 +349,20 @@ class _Decimals(dict):
 
 _decimal = _Decimals().__getitem__
 
-# Sets a field of a frozen TreeShape; bound once, as chain steps build a
-# shape per move.  Writing to ``shape.__dict__`` instead would be faster
-# still but gives every shape a separate dict, 64 bytes more each.
+# Sets a field of a frozen TreeShape; bound once, as each chain move builds one.
 _set_field = object.__setattr__
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, slots=True, order=True)
 class TreeShape:
     """Immutable canonical value for a ranked multifurcating tree shape.
 
     Ordering (and the deterministic order of every exhaustive listing) is
-    lexicographic on ``(K, t, l)``.  Equality and hashing are by the
-    canonical vectors.
+    lexicographic on the fields ``(n_internal, t, l)``, where ``n_internal``
+    is K.  Equality and hashing are by the canonical vectors.
     """
 
-    sort_index: tuple = field(init=False, repr=False)
+    n_internal: int = field(init=False, repr=False, hash=False)
     t: tuple[int, ...] = ()
     l: tuple[int, ...] = ()
 
@@ -374,9 +372,9 @@ class TreeShape:
         t, l = tuple(t), tuple(l)
         if bad is not None:
             raise InvalidShapeError(bad, f"t={t}, l={l}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "sort_index", (len(t), t, l))
+        _set_field(self, "n_internal", len(t))
+        _set_field(self, "t", t)
+        _set_field(self, "l", l)
 
     @classmethod
     def _trusted(cls, t: tuple[int, ...], l: tuple[int, ...]) -> "TreeShape":
@@ -386,22 +384,14 @@ class TreeShape:
         a reader instead; ``tests/test_construction_guard.py`` keeps every
         module but this one off the validating constructor."""
         shape = object.__new__(cls)
+        _set_field(shape, "n_internal", len(t))
         _set_field(shape, "t", t)
         _set_field(shape, "l", l)
-        _set_field(shape, "sort_index", (len(t), t, l))
         return shape
-
-    def __hash__(self) -> int:
-        # sort_index repeats t and l; the dataclass hash would walk them twice.
-        return hash((self.t, self.l))
 
     @property
     def n_tips(self) -> int:
         return sum(self.l)
-
-    @property
-    def n_internal(self) -> int:
-        return len(self.t)
 
     def children_counts(self) -> tuple[tuple[int, int], ...]:
         """Per internal node, its (internal child count, leaf count)."""

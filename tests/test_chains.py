@@ -39,7 +39,7 @@ from mtshapes.chains import (
     step_random_walk,
     step_symmetric,
 )
-from mtshapes.lattice import Neighborhood, max_degree, split_count
+from mtshapes.lattice import LatticeGraph, Neighborhood, max_degree, split_count
 from test_moves import reference_split
 
 
@@ -468,6 +468,19 @@ class TestSemiRandom:
             s = semi_random_init(8, k, rng)
             assert s.n_internal == k and s.n_tips == 8
 
+    @settings(deadline=None, derandomize=True)
+    @given(st.data())
+    def test_init_decodes_a_valid_matrix(self, data):
+        # semi_random_init builds its shape unchecked from the drawn matrix.
+        n = data.draw(st.integers(2, 50))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        for k in range(1, n):
+            m = semi_random_fmatrix(n, k, rng_from(seed))
+            assert validate_fmatrix(m, n=n) is None
+            s = semi_random_init(n, k, rng_from(seed))
+            assert validate_string(s.t, s.l, n=n) is None
+            assert np.array_equal(s.fmatrix(), m)
+
     def test_domain(self):
         rng = rng_from(0)
         with pytest.raises(ValueError):
@@ -669,6 +682,27 @@ class TestBottleneck:
     def test_refuses_large_spaces(self, hasse):
         with pytest.raises(ValueError):
             exact_bottleneck(hasse[6], "symmetric")
+
+    @staticmethod
+    def path_graph(v):
+        """A hand-built path on ``v`` vertices: 0 - 1 - ... - (v - 1)."""
+        shapes = tuple(TreeShape((0,), (m,)) for m in range(2, v + 2))
+        return LatticeGraph(
+            n=0,
+            vertices=shapes,
+            up=tuple((i + 1,) if i + 1 < v else () for i in range(v)),
+            down=tuple((i - 1,) if i else () for i in range(v)),
+            index={s: i for i, s in enumerate(shapes)},
+        )
+
+    def test_cap_is_fifteen_vertices(self):
+        # The 15-vertex path has degrees 1, 2, ..., 2, 1 (total 28); a
+        # prefix of 7 vertices holds volume 13 behind one cut edge.
+        res = exact_bottleneck(self.path_graph(15), "random-walk")
+        assert res.phi_star == Fraction(1, 13)
+        assert len(res.minimizers) == 2
+        with pytest.raises(ValueError, match="over 16 vertices .* cap is 15$"):
+            exact_bottleneck(self.path_graph(16), "random-walk")
 
 
 class TestGapAndBounds:

@@ -5,10 +5,11 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 
 import pytest
 
-from mtshapes import TreeShape, chains, count_space, covers, generate_all
+from mtshapes import TreeShape, chains, cli, count_space, covers, generate_all
 from mtshapes.chains import MAX_KERNEL_BYTES
 from mtshapes.cli import build_parser, main
 from mtshapes.enumeration import MAX_COUNT_TIPS, _pair_entries
@@ -349,6 +350,27 @@ class TestSampling:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", "error: n must be >= 2, got 1\n")
 
+    @pytest.mark.parametrize("k", [[], ["--k", "3"]])
+    def test_semi_random_streams(self, capsys, monkeypatch, k):
+        # K is worked out per line, so a reader that stops after the first
+        # line leaves no list of `count` values behind.
+        star = TreeShape((0,), (7,))
+        monkeypatch.setattr(cli, "semi_random_init", lambda n, k, rng: star)
+
+        def closed_pipe(line=""):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "_emit", closed_pipe)
+        argv = ["semi-random", "--n", "7", "--count", "200000", "--seed", "1", *k]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().out == ""
+        assert peak < 0.5e6
+
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_semi_random_count_must_be_positive(self, capsys, count):
         code, out, err = run_cli(
@@ -424,6 +446,15 @@ class TestStats:
             )
             assert (code, out, err) == (1, "", f"error: max-cherry must be >= 1, got {value}\n")
 
+    @pytest.mark.parametrize("value", ["1001", "100000000"])
+    def test_max_cherry_above_cap_is_refused(self, capsys, tmp_path, value):
+        src = tmp_path / "shapes.txt"
+        src.write_text("0|4\n")
+        code, out, err = run_cli(capsys, "stats", "--in", str(src), "--max-cherry", value)
+        assert (code, out, err) == (1, "", f"error: max-cherry must be <= 1000, got {value}\n")
+        code, out, _ = run_cli(capsys, "stats", "--in", str(src), "--max-cherry", "1000")
+        assert code == 0 and out.splitlines()[0].endswith(",cherry_999,cherry_1000")
+
     def test_empty_input(self, capsys, tmp_path):
         src = tmp_path / "empty.txt"
         src.write_text("\n")
@@ -498,16 +529,18 @@ def test_option_census():
          "--seed", "1", "--threads", "-3"],
         ["sample-coalescent", "--n", "5", "--alpha", "inf", "--count", "1",
          "--seed", "1"],
-        ["stats", "--in", "{tmp}", "--max-cherry", "0"],
-        ["stats", "--in", "{tmp}", "--max-cherry", "-3"],
+        ["stats", "--in", "{tmp}/shapes.txt", "--max-cherry", "0"],
+        ["stats", "--in", "{tmp}/shapes.txt", "--max-cherry", "-3"],
+        ["stats", "--in", "{tmp}/shapes.txt", "--max-cherry", "1001"],
     ],
     ids=[
         "stats-missing-file", "hasse-missing-dir", "lub-directory", "hasse-n10",
         "bounds-n10-exact", "bounds-past-count-cap", "threads-0", "threads-negative", "alpha-inf",
-        "max-cherry-0", "max-cherry-negative",
+        "max-cherry-0", "max-cherry-negative", "max-cherry-past-cap",
     ],
 )
 def test_error_contract(capsys, tmp_path, argv):
+    (tmp_path / "shapes.txt").write_text("0|4\n")  # a readable input for stats
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err

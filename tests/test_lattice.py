@@ -159,6 +159,11 @@ class TestDegrees:
         with pytest.raises(ValueError):
             max_degree_tree(3)
 
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_max_degree_domain(self, n):
+        with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
+            max_degree(n)
+
     @pytest.mark.parametrize("n", range(4, 9))
     def test_argmax_is_unique(self, n):
         tree, m = max_degree_tree(n)

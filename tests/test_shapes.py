@@ -1,7 +1,10 @@
 """Encodings, validation, collapse, and serialization of tree shapes."""
 
+import copy
+import dataclasses
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -574,6 +577,22 @@ class TestTreeShape:
         s = TreeShape((0,), (4,))
         with pytest.raises(AttributeError):
             s.t = (0, 1)
+
+    def test_slotted_record_of_k_t_l(self):
+        s = TreeShape((0, 1), (2, 2))
+        assert not hasattr(s, "__dict__")
+        assert [f.name for f in dataclasses.fields(TreeShape)] == ["n_internal", "t", "l"]
+        for name in ("n_internal", "t", "l"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, (0,))
+
+    @pytest.mark.parametrize("copier", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy])
+    def test_copies_round_trip(self, copier):
+        for shape in all_shapes(6):
+            for built in (TreeShape(shape.t, shape.l), TreeShape._trusted(shape.t, shape.l)):
+                back = copier(built)
+                assert back == built and hash(back) == hash(built)
+                assert (back.n_internal, back.t, back.l) == (len(built.t), built.t, built.l)
 
     def test_children_counts(self):
         assert FIG3.children_counts() == ((1, 3), (1, 1), (2, 2), (0, 3), (0, 3))

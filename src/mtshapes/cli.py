@@ -306,11 +306,19 @@ def cmd_sample_uniform(args) -> int:
     return 0
 
 
+# Draws sampled and written at a time.  Each draw reads its own slice of
+# the seeded stream, so the output does not depend on this size.
+_COALESCENT_CHUNK = 4096
+
+
 def cmd_sample_coalescent(args) -> int:
     measure = BetaMeasure.from_alpha(args.alpha)
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    for shape in sample_topologies(args.n, measure, args.count, rng):
-        _emit(shape.to_text())
+    # a count below 1 still makes one call, which refuses it
+    for done in range(0, max(args.count, 1), _COALESCENT_CHUNK):
+        chunk = min(_COALESCENT_CHUNK, args.count - done)
+        for shape in sample_topologies(args.n, measure, chunk, rng):
+            _emit(shape.to_text())
     return 0
 
 

@@ -349,6 +349,19 @@ class _Decimals(dict):
 
 _decimal = _Decimals().__getitem__
 
+
+class _Ints(dict):
+    """The inverse table: the int of each decimal string "0" .. "1023",
+    made once; any other string goes through ``int``."""
+
+    __slots__ = ()
+
+    def __missing__(self, s):
+        return int(s)
+
+
+_int_of = _Ints({str(k): k for k in range(1024)}).__getitem__
+
 # Sets a field of a frozen TreeShape; bound once, as each chain move builds one.
 _set_field = object.__setattr__
 
@@ -416,7 +429,7 @@ class TreeShape:
         only for text the package made from shapes it built."""
         left, right = text.split("|")
         return cls._trusted(
-            tuple(map(int, left.split(","))), tuple(map(int, right.split(",")))
+            tuple(map(_int_of, left.split(","))), tuple(map(_int_of, right.split(",")))
         )
 
     @classmethod

@@ -256,6 +256,18 @@ UNIFORM_DIGESTS = {
 }
 
 
+# sha256 of `sample-coalescent` stdout, taken when each draw still ran its
+# own loop over `rng.random(3 * n)`.
+COALESCENT_DIGESTS = {
+    ("--n", "20", "--count", "4000", "--seed", "7"):
+        "c7632a8cdb1128d89058f7e46befdfb38ad873ea300884727d304df2e7f0692d",
+    ("--n", "100", "--alpha", "0.5", "--count", "500", "--seed", "3"):
+        "c3cdc9df065a26c0d2c4f462d921dbea41294d42c2feb37019b6e448c1e2b6f0",
+    ("--n", "3", "--count", "5000", "--seed", "1"):
+        "1b5066ae686eabdacaa69b187bd82451a2d68aa8a84fc1c7b17eb1fcf041caa1",
+}
+
+
 @pytest.fixture
 def samples_unread(monkeypatch):
     """``RunResult.samples`` raises: the CLI writes the chains' text lines
@@ -309,6 +321,31 @@ class TestSampling:
         records = [json.loads(ln) for ln in out.strip().splitlines()]
         assert [r["step"] for r in records] == [2, 4]
         assert all(r["chain"] == 0 for r in records)
+
+    @pytest.mark.parametrize(
+        "args", list(COALESCENT_DIGESTS), ids=["n20", "n100-alpha0.5", "n3"]
+    )
+    def test_coalescent_stdout_is_pinned(self, capsys, args):
+        code, out, err = run_cli(capsys, "sample-coalescent", *args)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == COALESCENT_DIGESTS[args]
+
+    def test_coalescent_streams(self, capsys, monkeypatch):
+        # draws are made and written a chunk at a time, so a reader that
+        # stops after the first line leaves the rest of the count undrawn
+        def closed_pipe(line=""):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "_emit", closed_pipe)
+        argv = ["sample-coalescent", "--n", "20", "--count", str(10**9), "--seed", "1"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().out == ""
+        assert peak < 4e6
 
     def test_coalescent_samples(self, capsys):
         args = ["sample-coalescent", "--n", "9", "--count", "5", "--seed", "11"]

@@ -2,9 +2,11 @@
 
 import hashlib
 import math
+import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import mpmath
 import numpy as np
@@ -20,7 +22,7 @@ from mtshapes import (
     sample_topologies,
     validate_string,
 )
-from mtshapes.coalescent import merger_distribution
+from mtshapes.coalescent import _block_draws, merger_distribution
 
 
 def rng_from(seed):
@@ -323,11 +325,120 @@ class TestSampleTopology:
         b = sample_topologies(10, UNIFORM_MEASURE, 50, rng_from(77))
         assert a == b
 
+    def test_numpy_integer_arguments(self):
+        n, count = np.int64(10), np.int64(50)
+        assert sample_topologies(n, UNIFORM_MEASURE, count, rng_from(77)) == (
+            sample_topologies(10, UNIFORM_MEASURE, 50, rng_from(77))
+        )
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sample_topologies(1, UNIFORM_MEASURE, 1, rng_from(0))[0]
         with pytest.raises(ValueError):
             sample_topologies(5, UNIFORM_MEASURE, 0, rng_from(0))
+
+
+def reference_topologies(n, measure, count, rng):
+    """The per-draw sampler that the lockstep one replaced, as its oracle:
+    each draw reads ``rng.random(3 * n)`` and runs its events one at a
+    time.  Returns ``(t, l)`` pairs."""
+    cums = [None, None] + [
+        list(accumulate(merger_distribution(b, measure).tolist()))
+        for b in range(2, n + 1)
+    ]
+    out = []
+    for _ in range(count):
+        u = rng.random(3 * n).tolist()
+        pos = 0
+        lineages = [0] * n  # 0 for a tip, else the 1-based event that formed it
+        up = []  # up[e - 1]: the event that merged event e's lineage
+        tips = []  # tips[e - 1]: original tips merged at event e
+        b = n
+        while b > 1:
+            cum = cums[b]
+            k = bisect_right(cum, u[pos] * cum[-1]) + 2
+            pos += 1
+            event = len(up) + 1
+            leaves = 0
+            for m in range(b, b - k, -1):
+                i = int(u[pos] * m)
+                pos += 1
+                x = lineages[i]
+                lineages[i] = lineages[m - 1]
+                if x:
+                    up[x - 1] = event
+                else:
+                    leaves += 1
+            del lineages[b - k + 1 :]
+            lineages[b - k] = event
+            up.append(0)
+            tips.append(leaves)
+            b -= k - 1
+        k_nodes = len(up)
+        t = [k_nodes + 1 - e if e else 0 for e in reversed(up)]
+        out.append((tuple(t), tuple(reversed(tips))))
+    return out
+
+
+def assert_matches_reference(n, measure, count, seed):
+    rng, ref_rng = rng_from(seed), rng_from(seed)
+    got = sample_topologies(n, measure, count, rng)
+    assert [(s.t, s.l) for s in got] == reference_topologies(n, measure, count, ref_rng)
+    # both read the same slice of the stream, no more
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+ORACLE_MEASURES = {
+    "alpha=0.5": BetaMeasure.from_alpha(0.5),
+    "alpha=1": UNIFORM_MEASURE,
+    "alpha=1.9": BetaMeasure.from_alpha(1.9),
+    "beta(0.7,1.3)": BetaMeasure(0.7, 1.3),
+}
+
+
+class TestLockstepOracle:
+    """The lockstep sampler gives exactly the shapes of the per-draw loop."""
+
+    @pytest.mark.parametrize("measure", list(ORACLE_MEASURES))
+    @pytest.mark.parametrize("n", [2, 3, 5, 20, 50, 100])
+    def test_equals_per_draw_loop_across_block_edges(self, n, measure):
+        block = _block_draws(n)
+        for count in (1, block - 1, block, block + 1, 2 * block + 7):
+            assert_matches_reference(
+                n, ORACLE_MEASURES[measure], count, seed=n * 1000 + count
+            )
+
+    def test_block_shrinks_for_large_n(self):
+        assert _block_draws(20) == _block_draws(682) == 512
+        assert _block_draws(683) == 511 and _block_draws(10**6) == 1
+        assert_matches_reference(700, UNIFORM_MEASURE, _block_draws(700) + 3, seed=4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 50),
+        alpha=st.floats(0, 2, exclude_min=True, exclude_max=True),
+        count=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_draw_loop(self, n, alpha, count, seed):
+        assert_matches_reference(n, BetaMeasure.from_alpha(alpha), count, seed)
+
+    def test_block_memory_is_bounded(self):
+        # the block's arrays are freed before the next block: what the call
+        # holds beyond the shapes it returns stays within four times the
+        # uniforms of one block of 512 draws (4.9 MB), however many it makes
+        n, count = 100, 20_000
+        budget = 4 * 512 * 3 * n * 8
+        rng = rng_from(12)
+        sample_topologies(n, UNIFORM_MEASURE, 1, rng)  # the merger table, cached
+        tracemalloc.start()
+        try:
+            shapes = sample_topologies(n, UNIFORM_MEASURE, count, rng)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(shapes) == count
+        assert peak - retained < budget
 
 
 # sha256 of the "\n"-joined to_text lines of

@@ -470,6 +470,22 @@ class TestSerialization:
         assert 1024 not in table and 10**6 not in table
         assert len(table) <= 1024
 
+    def test_own_text_past_the_int_table(self):
+        table = shapes_module._int_of.__self__
+        for s in (
+            TreeShape((0,), (1500,)),
+            TreeShape((0, 1), (1023, 1024)),
+            TreeShape((0, 1), (10**6, 1023)),
+            FIG3,
+        ):
+            decoded = TreeShape._from_own_text(s.to_text())
+            assert decoded == s
+            assert all(type(x) is int for x in decoded.t + decoded.l)
+        assert TreeShape._from_own_text("0|1500").l == (1500,)
+        assert table["1023"] == 1023
+        assert "1024" not in table and "1500" not in table
+        assert len(table) == 1024
+
     def test_parse_errors_carry_offsets(self):
         with pytest.raises(ParseError) as err:
             TreeShape.from_text("0,1")

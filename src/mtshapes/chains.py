@@ -36,7 +36,7 @@ from .lattice import (
     max_degree,
     split_count,  # noqa: F401  (kept importable: perfbench counts calls through it)
 )
-from .shapes import TreeShape, _fmatrix_vectors
+from .shapes import TreeShape
 
 __all__ = [
     "ChainState",
@@ -48,7 +48,6 @@ __all__ = [
     "step_symmetric",
     "step_random_walk",
     "step_mh_uniform",
-    "semi_random_fmatrix",
     "semi_random_init",
     "run_chains",
     "exact_kernel",
@@ -186,26 +185,30 @@ def _accepts(u: float, deg: int, deg_p: int) -> bool:
 # -- initialization ----------------------------------------------------
 
 
-def semi_random_fmatrix(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an F-matrix by sampling k-1 distinct diagonal values from
-    {2..n-1}, sorting, appending n, and filling each column downward by
-    max(0, previous - 1).  Always valid; not uniform over shapes."""
+def semi_random_init(n: int, k: int, rng: np.random.Generator) -> TreeShape:
+    """A shape with exactly ``k`` internal nodes from a diagonal draw:
+    k - 1 distinct values from {2..n-1}, sorted, then n.  Always valid;
+    not uniform over shapes.
+
+    Filling each column of the F-matrix with diagonal d downward by
+    max(0, previous - 1) puts s_j - i at row i of column j until 0, with
+    s_j = d_j + j strictly increasing.  Node i + 1 appears at row i, where
+    the columns with s_j >= i (a suffix) lose one each; its parent is the
+    first of them, t_i = 1 + #{j : s_j < i}.  The last row's differences
+    are the leaves, l_j = max(0, s_j - k + 1) - max(0, s_{j-1} - k + 1).
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    diag = np.empty(k, dtype=np.int64)
-    diag[-1] = n
+    s = np.arange(k)
+    s[-1] += n
     if k > 1:
-        diag[:-1] = np.sort(rng.choice(np.arange(2, n), size=k - 1, replace=False))
-    rows = np.arange(k)[:, None]
-    cols = np.arange(k)[None, :]
-    return np.tril(np.maximum(0, diag[None, :] - (rows - cols)))
-
-
-def semi_random_init(n: int, k: int, rng: np.random.Generator) -> TreeShape:
-    """A shape with exactly ``k`` internal nodes via the diagonal draw."""
-    return TreeShape._trusted(*_fmatrix_vectors(semi_random_fmatrix(n, k, rng)))
+        # the stream of choice(np.arange(2, n), ...), without that array
+        s[:-1] += 2 + np.sort(rng.choice(n - 2, size=k - 1, replace=False))
+    t = 1 + np.searchsorted(s, np.arange(1, k))
+    l = np.diff(np.maximum(0, s - k + 1), prepend=0)
+    return TreeShape._trusted((0, *t.tolist()), tuple(l.tolist()))
 
 
 # -- multi-chain runner -------------------------------------------------
@@ -339,16 +342,9 @@ def _edges(graph: LatticeGraph) -> tuple[list[int], list[int]]:
     return lower, upper
 
 
-def _adjacency(graph: LatticeGraph) -> np.ndarray:
-    """Boolean V x V adjacency of the undirected covering graph."""
-    adj = np.zeros((graph.n_vertices, graph.n_vertices), dtype=bool)
-    lower, upper = _edges(graph)
-    adj[lower + upper, upper + lower] = True
-    return adj
-
-
 def exact_kernel(graph: LatticeGraph, kind: str, lazy: bool = False) -> np.ndarray:
-    """Dense transition matrix over ``graph.vertices``."""
+    """Dense transition matrix over ``graph.vertices``: 1/w(x) from x to
+    each covering neighbour, and the rest of the row's mass on x."""
     w = _weights(graph, kind)
     v = graph.n_vertices
     size = 8 * v * v  # float64 entries
@@ -357,12 +353,11 @@ def exact_kernel(graph: LatticeGraph, kind: str, lazy: bool = False) -> np.ndarr
             f"dense kernel over {v} shapes needs {size / 1e6:.0f} MB; "
             f"cap is {MAX_KERNEL_BYTES // 10**6} MB (exact analysis takes N <= 8)"
         )
-    adj = _adjacency(graph)
-    p = adj / w[:, None]
-    diag = np.arange(v)
-    p[diag, diag] = 1.0 - adj.sum(axis=1) / w
+    lower, upper = _edges(graph)
+    p = np.diag(1.0 - np.bincount(lower + upper, minlength=v) / w)
+    p[lower + upper, upper + lower] = 1.0 / w[lower + upper]
     if lazy:
-        p[diag, diag] += 1.0
+        p[np.diag_indices(v)] += 1.0
         p /= 2.0
     return p
 

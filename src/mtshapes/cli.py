@@ -70,10 +70,9 @@ def _load_shape(value: str) -> TreeShape:
     text = value
     if os.path.exists(value):
         with open(value) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines:
+            text = next(filter(None, map(str.strip, fh)), None)
+        if text is None:
             raise ValueError(f"{value}: empty shape file")
-        text = lines[0]
     return _parse_shape(text)
 
 

@@ -26,6 +26,7 @@ from math import inf, lgamma
 
 import numpy as np
 
+from .chains import MAX_KERNEL_BYTES
 from .shapes import TreeShape
 
 __all__ = [
@@ -105,8 +106,15 @@ def _block_draws(n: int) -> int:
 def _merger_table(n: int, measure: BetaMeasure) -> np.ndarray:
     """Row b (2 <= b <= n) holds the running sums of
     ``merger_distribution(b, measure)``, padded with inf to a power-of-two
-    width so that a binary search never reads past its row."""
-    table = np.full((n + 1, 1 << int(n - 1).bit_length()), inf)
+    width so that a binary search never reads past its row.  It stays
+    cached, so its size is held to the kernels' budget (n <= 2048)."""
+    width = 1 << int(n - 1).bit_length()
+    if (size := 8 * (int(n) + 1) * width) > MAX_KERNEL_BYTES:
+        raise ValueError(
+            f"merger table for n = {n} needs {size / 1e6:.0f} MB; "
+            f"cap is {MAX_KERNEL_BYTES // 10**6} MB (sampling takes n <= 2048)"
+        )
+    table = np.full((n + 1, width), inf)
     for b in range(2, n + 1):
         table[b, : b - 1] = list(accumulate(merger_distribution(b, measure).tolist()))
     table.flags.writeable = False

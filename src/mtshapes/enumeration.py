@@ -27,7 +27,6 @@ __all__ = [
     "MAX_COUNT_TIPS",
     "MAX_GENERATED_SHAPES",
     "PairTable",
-    "valid_pairs",
     "pair_table",
     "count_shapes",
     "count_space",
@@ -43,23 +42,6 @@ MAX_GENERATED_SHAPES = 10_000
 #: at N fills pair tables of about N^3/12 entries that stay cached for the
 #: life of the process: 95 MB at N = 150, 779 MB at N = 300.
 MAX_COUNT_TIPS = 150
-
-
-def valid_pairs(k: int) -> frozenset[tuple[int, int]]:
-    """All (k0, k1) pairs achievable by a length-``k`` parent vector.
-
-    The set has exactly ``(k - 1)**2 // 4 + 1`` elements.  For k == 2 the
-    single vector (0, 1) gives the lone pair (1, 1).
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if k == 2:
-        return frozenset({(1, 1)})
-    pairs = {(1, k - 1), (k - 1, 0)}
-    for k0 in range(2, k - 1):
-        for k1 in range(max(0, k - 2 * k0 + 1), k - k0):
-            pairs.add((k0, k1))
-    return frozenset(pairs)
 
 
 @dataclass(frozen=True)
@@ -79,21 +61,20 @@ class PairTable:
 
 @functools.cache
 def _pair_entries(k: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    """Table ``k``, derived from table ``k - 1``."""
-    if k == 2:
-        return (((1, 1), 1),)
+    """Table ``k``, each entry of table ``k - 1`` pushed to its three
+    extensions (see ``pair_table``); table 1 is the lone node's (1, 0)."""
+    if k == 1:
+        return (((1, 0), 1),)
     # Fill the cache from the bottom up, so that the call for k - 1 below
     # is a hit and no call recurses more than one level at any k.
-    for kk in range(3, k - 1):
+    for kk in range(2, k - 1):
         _pair_entries(kk)
-    table = dict(_pair_entries(k - 1))
     nxt = {}
-    for k0, k1 in valid_pairs(k):
-        nxt[(k0, k1)] = (
-            table.get((k0 - 1, k1), 0) * (k - k0 - k1)
-            + table.get((k0 - 1, k1 + 1), 0) * (k1 + 1)
-            + table.get((k0, k1 - 1), 0) * k0
-        )
+    for (k0, k1), a in _pair_entries(k - 1):
+        rest = k - 1 - k0 - k1
+        for pair, ways in ((k0, k1 + 1), k0), ((k0 + 1, k1 - 1), k1), ((k0 + 1, k1), rest):
+            if ways:
+                nxt[pair] = nxt.get(pair, 0) + a * ways
     return tuple(sorted(nxt.items()))
 
 
@@ -101,7 +82,7 @@ def pair_table(k: int) -> PairTable:
     """Tabulate, for every valid (k0, k1), the number of length-``k``
     parent vectors with those counts.
 
-    Built bottom-up from K'=2 by appending one entry at a time: the new
+    Built bottom-up from K'=1 by appending one entry at a time: the new
     entry repeats a rank seen twice or more (k0 grows), repeats one seen
     once (k1 shifts into k0), or names a previously absent rank (k1
     grows).  Values sum to (k-1)! across the table.
@@ -127,10 +108,6 @@ def count_shapes(n: int, k: int) -> int:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 1 <= k <= n - 1:
         return 0
-    if k == 1:
-        return 1
-    if k == 2:
-        return n - 2
     return sum(a * _comb(n - j + k - 1, k - 1) for j, a in _weight_sums(k))
 
 

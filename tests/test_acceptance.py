@@ -58,11 +58,11 @@ from mtshapes import (
 )
 from mtshapes.chains import (
     ChainState,
-    semi_random_fmatrix,
     semi_random_init,
     step_mh_uniform,
 )
 from mtshapes.lattice import Neighborhood, max_degree
+from test_chains import semi_random_fmatrix
 from test_enumeration import TABLE_CELLS, eulerian
 from test_shapes import FX, FY
 
@@ -165,10 +165,8 @@ def test_c04_sequences():
     for k in range(2, 12):
         for k0, total in pair_table(k).row_sums().items():
             assert total == eulerian(k - 1, k0)
-    from mtshapes.enumeration import valid_pairs
-
     for k in range(2, 21):
-        assert len(valid_pairs(k)) == (k - 1) ** 2 // 4 + 1
+        assert len(pair_table(k).entries) == (k - 1) ** 2 // 4 + 1
     report("4 (pair-count table, Eulerian row sums, pair-set sizes): PASS")
 
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import multiprocessing
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from mtshapes import (
     TreeShape,
+    build_hasse,
     covers,
     deg_minus,
     deg_plus,
@@ -33,18 +35,55 @@ from mtshapes import chains
 from mtshapes.chains import (
     ChainState,
     random_below,
-    semi_random_fmatrix,
     semi_random_init,
     step_mh_uniform,
     step_random_walk,
     step_symmetric,
 )
 from mtshapes.lattice import LatticeGraph, Neighborhood, max_degree, split_count
+from mtshapes.shapes import _fmatrix_vectors
 from test_moves import reference_split
 
 
 def rng_from(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def semi_random_fmatrix(n, k, rng):
+    """The diagonal draw as a matrix: k - 1 distinct values from {2..n-1},
+    sorted, then n, each column filled downward by max(0, previous - 1)
+    (the matrix route ``semi_random_init`` reads its vectors off)."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
+    diag = np.empty(k, dtype=np.int64)
+    diag[-1] = n
+    if k > 1:
+        diag[:-1] = np.sort(rng.choice(np.arange(2, n), size=k - 1, replace=False))
+    rows = np.arange(k)[:, None]
+    cols = np.arange(k)[None, :]
+    return np.tril(np.maximum(0, diag[None, :] - (rows - cols)))
+
+
+def semi_random_by_matrix(n, k, rng):
+    """``semi_random_init`` by the matrix route: build, then decode."""
+    return TreeShape._trusted(*_fmatrix_vectors(semi_random_fmatrix(n, k, rng)))
+
+
+class FixedChoice:
+    """Stands in for a Generator whose one ``choice`` call picks the given
+    positions of its population, in reverse order (both routes sort)."""
+
+    def __init__(self, picks):
+        self.picks = list(picks)
+        self.calls = 0
+
+    def choice(self, a, size, replace):
+        assert (size, replace) == (len(self.picks), False)
+        self.calls += 1
+        population = np.arange(a) if isinstance(a, int) else a
+        return population[self.picks[::-1]]
 
 
 def reference_refinements(shape):
@@ -483,10 +522,57 @@ class TestSemiRandom:
 
     def test_domain(self):
         rng = rng_from(0)
-        with pytest.raises(ValueError):
-            semi_random_fmatrix(5, 5, rng)
-        with pytest.raises(ValueError):
-            semi_random_fmatrix(1, 1, rng)
+        for route in (semi_random_init, semi_random_fmatrix):
+            with pytest.raises(ValueError, match=r"^k must be in 1\.\.4, got 5$"):
+                route(5, 5, rng)
+            with pytest.raises(ValueError, match=r"^k must be in 1\.\.4, got 0$"):
+                route(5, 0, rng)
+            with pytest.raises(ValueError, match=r"^n must be >= 2, got 1$"):
+                route(1, 1, rng)
+        assert rng.bit_generator.state == rng_from(0).bit_generator.state
+
+    def test_every_diagonal_to_n12_matches_matrix_route(self):
+        seen = 0
+        for n in range(2, 13):
+            for k in range(1, n):
+                for picks in itertools.combinations(range(n - 2), k - 1):
+                    a, b = FixedChoice(picks), FixedChoice(picks)
+                    assert semi_random_init(n, k, a) == semi_random_by_matrix(n, k, b)
+                    assert a.calls == b.calls == (k > 1)
+                    seen += 1
+        assert seen == 2047
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(st.integers(2, 300), st.data())
+    def test_matches_matrix_route_to_n300(self, n, data):
+        k = data.draw(st.integers(1, n - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        a, b = rng_from(seed), rng_from(seed)
+        assert semi_random_init(n, k, a) == semi_random_by_matrix(n, k, b)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    # Past a population of 10,000, numpy's choice without replacement
+    # switches from Floyd's algorithm to a tail shuffle once the size
+    # passes population // 50: k = 400 and 401 at n = 20000.
+    @pytest.mark.parametrize("n, k", [(10002, 2), (10002, 200), (20000, 400), (20000, 401)])
+    def test_matches_matrix_route_on_large_populations(self, n, k):
+        a, b = rng_from(n + k), rng_from(n + k)
+        assert semi_random_init(n, k, a) == semi_random_by_matrix(n, k, b)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("n, k", [(3000, 2999), (10**7, 2)])
+    def test_memory_is_bounded(self, n, k):
+        # the matrix route holds K x K int64 arrays (225 MB at K = 2999),
+        # and choosing from np.arange(2, n) holds n int64 (80 MB at n = 10^7)
+        rng = rng_from(1)
+        tracemalloc.start()
+        try:
+            s = semi_random_init(n, k, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.n_internal == k and s.n_tips == n
+        assert peak < 8e6
 
 
 class TestRunChains:
@@ -553,7 +639,32 @@ class TestRunChains:
             run_chains(n, "mh-uniform", n_chains=2, n_steps=1, seed=0)
 
 
+def dense_kernel(graph, kind, lazy):
+    """``exact_kernel`` through a boolean V x V adjacency, as it was once
+    built: each row is the adjacency over w(x), the diagonal 1 - deg/w."""
+    w = chains._weights(graph, kind)
+    v = graph.n_vertices
+    adj = np.zeros((v, v), dtype=bool)
+    lower, upper = chains._edges(graph)
+    adj[lower + upper, upper + lower] = True
+    p = adj / w[:, None]
+    diag = np.arange(v)
+    p[diag, diag] = 1.0 - adj.sum(axis=1) / w
+    if lazy:
+        p[diag, diag] += 1.0
+        p /= 2.0
+    return p
+
+
 class TestExactKernels:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_bytes_match_dense_adjacency_route(self, n, hasse):
+        g = hasse[n] if n in hasse else build_hasse(n)
+        for kind, lazy in itertools.product(["symmetric", "random-walk"], [False, True]):
+            p = exact_kernel(g, kind, lazy=lazy)
+            assert p.dtype == np.float64
+            assert p.tobytes() == dense_kernel(g, kind, lazy).tobytes()
+
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("kind", ["symmetric", "random-walk"])
     def test_stochastic_and_stationary(self, n, kind, hasse):

@@ -135,6 +135,26 @@ class TestLub:
         assert code == 1 and "error" in err
 
 
+class TestShapeFiles:
+    def test_reads_only_up_to_the_first_shape(self, capsys, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("\n  \n 0,1|2,2 \n" + "0,1,1|0,2,2\n" * 200_000)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "distance", "--a", str(path), "--b", "0|4")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (0, "1\n", "")
+        assert peak < 1e6
+
+    def test_blank_file_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "blank.txt"
+        path.write_text("\n \t\n\n")
+        code, out, err = run_cli(capsys, "distance", "--a", str(path), "--b", "0|4")
+        assert (code, out, err) == (1, "", f"error: {path}: empty shape file\n")
+
+
 class TestDistanceAndDegree:
     def test_distance(self, capsys):
         code, out, _ = run_cli(capsys, "distance", "--a", "0,1|2,2", "--b", "0|4")
@@ -268,6 +288,18 @@ COALESCENT_DIGESTS = {
 }
 
 
+# sha256 of `semi-random` stdout, taken when each start still built its
+# K x K F-matrix and decoded it.
+SEMI_RANDOM_DIGESTS = {
+    ("--n", "50", "--count", "500", "--seed", "3"):
+        "b9ae35f745bd52c422b8b883cd7f88fd526bedbe1513327889bf2de5e1886066",
+    ("--n", "300", "--k", "299", "--count", "20", "--seed", "4"):
+        "c58c18475e915378f9ee535145cb25df7951f64073a35e9d13b8518281cc6e1f",
+    ("--n", "2000", "--k", "1500", "--count", "3", "--seed", "5"):
+        "6a88d230e6e46e6bdd976065b71d1ea29953d9d575d0290862abd0070d7eeda8",
+}
+
+
 @pytest.fixture
 def samples_unread(monkeypatch):
     """``RunResult.samples`` raises: the CLI writes the chains' text lines
@@ -375,6 +407,14 @@ class TestSampling:
         )
         shapes = [TreeShape.from_text(ln) for ln in out.strip().splitlines()]
         assert all(s.n_internal == 3 and s.n_tips == 7 for s in shapes)
+
+    @pytest.mark.parametrize(
+        "args", list(SEMI_RANDOM_DIGESTS), ids=["k-cycle-n50", "n300-k299", "n2000-k1500"]
+    )
+    def test_semi_random_stdout_is_pinned(self, capsys, args):
+        code, out, err = run_cli(capsys, "semi-random", *args)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == SEMI_RANDOM_DIGESTS[args]
 
     @pytest.mark.parametrize(
         "argv",

@@ -22,6 +22,7 @@ from mtshapes import (
     sample_topologies,
     validate_string,
 )
+from mtshapes import coalescent
 from mtshapes.coalescent import _block_draws, merger_distribution
 
 
@@ -336,6 +337,24 @@ class TestSampleTopology:
             sample_topologies(1, UNIFORM_MEASURE, 1, rng_from(0))[0]
         with pytest.raises(ValueError):
             sample_topologies(5, UNIFORM_MEASURE, 0, rng_from(0))
+
+    @pytest.mark.parametrize("n", [2049, 10**6])
+    def test_merger_table_past_cap_refused_before_any_row(self, n, monkeypatch):
+        def refuse(b, measure):
+            raise AssertionError("merger_distribution was called")
+
+        monkeypatch.setattr(coalescent, "merger_distribution", refuse)
+        with pytest.raises(ValueError, match=r"cap is 64 MB \(sampling takes n <= 2048\)$"):
+            sample_topologies(n, UNIFORM_MEASURE, 1, rng_from(0))
+
+    def test_merger_table_at_cap_is_built(self, monkeypatch):
+        # n = 2048 passes the cap: its first row is computed (and here refused)
+        def first_row(b, measure):
+            raise LookupError(b)
+
+        monkeypatch.setattr(coalescent, "merger_distribution", first_row)
+        with pytest.raises(LookupError, match="^2$"):
+            sample_topologies(2048, BetaMeasure(1.5, 0.5), 1, rng_from(0))
 
 
 def reference_topologies(n, measure, count, rng):

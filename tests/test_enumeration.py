@@ -18,7 +18,6 @@ from mtshapes import (
     validate_string,
 )
 from mtshapes import build_hasse, enumeration
-from mtshapes.enumeration import valid_pairs
 from mtshapes.shapes import _min_leaves
 
 # Per-K counts, checked against the published table and against two
@@ -90,20 +89,40 @@ def count_by_t_sum(n, k):
     return total
 
 
-def reference_pair_entries(k):
-    """The pair table for ``k``, rebuilt from K = 3 by the three-term
-    recursion, with no table shared between calls."""
+def valid_pairs(k):
+    """All (k0, k1) pairs achievable by a length-``k`` parent vector,
+    written out by hand: ``(k - 1)**2 // 4 + 1`` of them."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if k == 2:
+        return frozenset({(1, 1)})
+    pairs = {(1, k - 1), (k - 1, 0)}
+    for k0 in range(2, k - 1):
+        for k1 in range(max(0, k - 2 * k0 + 1), k - k0):
+            pairs.add((k0, k1))
+    return frozenset(pairs)
+
+
+def reference_pair_tables(k_max):
+    """The pair tables for k = 2..``k_max`` as (k, entries), each pulled
+    from the one before over ``valid_pairs`` by the three-term recursion
+    (the library pushes instead)."""
     table = {(1, 1): 1}
-    for kk in range(3, k + 1):
-        nxt = {}
-        for k0, k1 in valid_pairs(kk):
-            nxt[(k0, k1)] = (
-                table.get((k0 - 1, k1), 0) * (kk - k0 - k1)
-                + table.get((k0 - 1, k1 + 1), 0) * (k1 + 1)
-                + table.get((k0, k1 - 1), 0) * k0
-            )
-        table = nxt
-    return tuple(sorted(table.items()))
+    yield 2, tuple(table.items())
+    for kk in range(3, k_max + 1):
+        table = {
+            (k0, k1): table.get((k0 - 1, k1), 0) * (kk - k0 - k1)
+            + table.get((k0 - 1, k1 + 1), 0) * (k1 + 1)
+            + table.get((k0, k1 - 1), 0) * k0
+            for k0, k1 in valid_pairs(kk)
+        }
+        yield kk, tuple(sorted(table.items()))
+
+
+def reference_pair_entries(k):
+    """The pair table for ``k``, with no table shared between calls."""
+    *_, (_, entries) = reference_pair_tables(k)
+    return entries
 
 
 def reference_count_shapes(n, k, entries):
@@ -186,8 +205,10 @@ class TestPairTable:
 
 class TestAgainstReference:
     def test_pair_tables(self):
-        for k in range(2, 41):
-            assert pair_table(k).entries == reference_pair_entries(k), k
+        for k, entries in reference_pair_tables(149):
+            assert pair_table(k).entries == entries, k
+            assert {pair for pair, _ in entries} == valid_pairs(k), k
+            assert all(a > 0 for _, a in entries), k
 
     def test_counts(self):
         for k in range(1, 41):

@@ -36,7 +36,7 @@ from .lattice import (
     max_degree,
     split_count,  # noqa: F401  (kept importable: perfbench counts calls through it)
 )
-from .shapes import TreeShape
+from .shapes import TreeShape, _parse_text
 
 __all__ = [
     "ChainState",
@@ -227,9 +227,18 @@ class RunResult:
     lines: list[list[str]]
     acceptance_rates: list[float]
 
+    def __eq__(self, other):
+        # A chain that makes no MH proposal has rate NaN, and a NaN pickled
+        # back from a worker is a new object, so two NaNs count as equal.
+        if not isinstance(other, RunResult):
+            return NotImplemented
+        return self.lines == other.lines and np.array_equal(
+            self.acceptance_rates, other.acceptance_rates, equal_nan=True
+        )
+
     @cached_property
     def samples(self) -> list[list[TreeShape]]:
-        return [list(map(TreeShape._from_own_text, chain)) for chain in self.lines]
+        return [[TreeShape._trusted(*_parse_text(s)) for s in chain] for chain in self.lines]
 
     def pooled(self) -> list[TreeShape]:
         """All samples concatenated in chain-index order."""

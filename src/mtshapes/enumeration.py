@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -38,9 +39,10 @@ __all__ = [
 #: Most shapes generate_all yields: the full space up to N = 9 (6092 shapes).
 MAX_GENERATED_SHAPES = 10_000
 
-#: Largest N that count_space and ``mtshapes enumerate`` accept.  Counting
-#: at N fills pair tables of about N^3/12 entries that stay cached for the
-#: life of the process: 95 MB at N = 150, 779 MB at N = 300.
+#: Largest N that count_space and ``mtshapes enumerate`` accept, and largest
+#: K that count_shapes and pair_table accept.  Counting at K fills pair
+#: tables of about K^3/12 entries that stay cached for the life of the
+#: process: 95 MB at K = 150, 779 MB at K = 300.
 MAX_COUNT_TIPS = 150
 
 
@@ -89,6 +91,7 @@ def pair_table(k: int) -> PairTable:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    _check_cap("k", k)
     return PairTable(k=k, entries=_pair_entries(k))
 
 
@@ -102,12 +105,14 @@ def _comb(n: int, k: int) -> int:
 def count_shapes(n: int, k: int) -> int:
     """Exact number of shapes with ``n`` tips and ``k`` internal nodes.
 
-    Out-of-range ``k`` yields 0 so that callers may sum freely over k.
+    Out-of-range ``k`` yields 0 so that callers may sum freely over k;
+    a ``k`` past ``MAX_COUNT_TIPS`` is refused.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 1 <= k <= n - 1:
         return 0
+    _check_cap("k", k)
     return sum(a * _comb(n - j + k - 1, k - 1) for j, a in _weight_sums(k))
 
 
@@ -121,12 +126,17 @@ def _weight_sums(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(sums.items()))
 
 
+def _check_cap(name: str, value: int) -> None:
+    """Refuse a ``value`` past ``MAX_COUNT_TIPS`` before any table is built."""
+    if value > MAX_COUNT_TIPS:
+        raise ValueError(f"{name} must be <= MAX_COUNT_TIPS = {MAX_COUNT_TIPS}, got {value}")
+
+
 def _check_count_tips(n: int) -> None:
     """Refuse an ``n`` outside 2..``MAX_COUNT_TIPS`` before any table is built."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if n > MAX_COUNT_TIPS:
-        raise ValueError(f"n must be <= MAX_COUNT_TIPS = {MAX_COUNT_TIPS}, got {n}")
+    _check_cap("n", n)
 
 
 def count_space(n: int) -> int:
@@ -143,18 +153,13 @@ def count_labeled_ranked(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    # stirling[m][k] = S(m, k), built row by row
-    stirling = [[1]]
-    for m in range(1, n + 1):
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            prev = stirling[m - 1]
-            row[k] = k * (prev[k] if k < m else 0) + prev[k - 1]
-        stirling.append(row)
-    f = [0] * (n + 1)
-    f[1] = 1
+    # row[k] = S(m, k) for the current m; only one row is kept
+    row = [0, 1]
+    f = [0, 1]
     for m in range(2, n + 1):
-        f[m] = sum(stirling[m][k] * f[k] for k in range(1, m))
+        row.append(0)
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, m + 1)]
+        f.append(sum(map(operator.mul, row[1:m], f[1:m])))
     return f[n]
 
 

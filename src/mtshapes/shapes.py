@@ -22,15 +22,14 @@ checked exactly once, where it enters: ``TreeShape(t, l)``, ``from_text``,
 ``lub_fmatrix``, ``collapse_edge_fmatrix`` and the bulk text reader
 ``_text_columns``.  Every shape the package derives from checked data (a
 collapse, a split, a decoded F-matrix, a least upper bound, a generated
-or a sampled shape, or one decoded by ``TreeShape._from_own_text`` from a
-line that ``to_text`` wrote) is built through ``TreeShape._trusted`` and
-not checked again.
+or a sampled shape, or a chain's sample read back from the line that
+``to_text`` wrote) is built through ``TreeShape._trusted`` and not
+checked again.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import index as _as_int
@@ -77,19 +76,8 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class _IntVector(tuple):
-    """A tuple of exact ints that ``_check_vectors`` (or the text parser)
-    already produced; handing one back skips the per-element conversion,
-    so a vector is normalised once per construction."""
-
-    __slots__ = ()
-
-
 def _check_vectors(t, l):
-    if type(t) is not _IntVector:
-        t = _IntVector(map(_as_int, t))
-    if type(l) is not _IntVector:
-        l = _IntVector(map(_as_int, l))
+    t, l = tuple(map(_as_int, t)), tuple(map(_as_int, l))
     if len(t) != len(l):
         raise ValueError(
             f"t and l must have equal length, got {len(t)} and {len(l)}"
@@ -350,18 +338,6 @@ class _Decimals(dict):
 _decimal = _Decimals().__getitem__
 
 
-class _Ints(dict):
-    """The inverse table: the int of each decimal string "0" .. "1023",
-    made once; any other string goes through ``int``."""
-
-    __slots__ = ()
-
-    def __missing__(self, s):
-        return int(s)
-
-
-_int_of = _Ints({str(k): k for k in range(1024)}).__getitem__
-
 # Sets a field of a frozen TreeShape; bound once, as each chain move builds one.
 _set_field = object.__setattr__
 
@@ -382,7 +358,6 @@ class TreeShape:
     def __init__(self, t, l):
         t, l = _check_vectors(t, l)
         bad = validate_string(t, l)
-        t, l = tuple(t), tuple(l)
         if bad is not None:
             raise InvalidShapeError(bad, f"t={t}, l={l}")
         _set_field(self, "n_internal", len(t))
@@ -424,18 +399,8 @@ class TreeShape:
         return ",".join(map(_decimal, self.t)) + "|" + ",".join(map(_decimal, self.l))
 
     @classmethod
-    def _from_own_text(cls, text: str) -> "TreeShape":
-        """Decode a line that ``to_text`` wrote, without checking it again:
-        only for text the package made from shapes it built."""
-        left, right = text.split("|")
-        return cls._trusted(
-            tuple(map(_int_of, left.split(","))), tuple(map(_int_of, right.split(",")))
-        )
-
-    @classmethod
     def from_text(cls, text: str) -> "TreeShape":
-        t, l = _parse_text(text)
-        return cls(t, l)
+        return cls(*_parse_text(text))
 
     def to_json(self) -> str:
         return json.dumps({"t": list(self.t), "l": list(self.l)})
@@ -459,15 +424,9 @@ class TreeShape:
         return self.to_text()
 
 
-_INT_LIST = re.compile(r"-?\d+(?:,-?\d+)*")
-
-
-def _parse_int_list(text: str, base: int) -> _IntVector:
-    if _INT_LIST.fullmatch(text):
-        return _IntVector(map(int, text.split(",")))
-    # Text the pattern rejects is scanned token by token, which raises
-    # the ParseError for the first bad token.  str.isdecimal accepts the
-    # digits int() reads; str.isdigit would also pass superscripts.
+def _parse_int_list(text: str, base: int) -> tuple[int, ...]:
+    # The first bad token raises the ParseError.  str.isdecimal accepts
+    # the digits int() reads; str.isdigit would also pass superscripts.
     out = []
     pos = 0
     for tok in text.split(","):
@@ -475,10 +434,12 @@ def _parse_int_list(text: str, base: int) -> _IntVector:
             raise ParseError(f"expected an integer, got {tok!r}", base + pos)
         out.append(int(tok))
         pos += len(tok) + 1
-    return _IntVector(out)
+    return tuple(out)
 
 
-def _parse_text(text: str):
+def _parse_text(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The vectors ``(t, l)`` of one line ``t1,...,tK|l1,...,lK``, not yet
+    checked against S1-S4; a malformed line raises ``ParseError``."""
     if text.count("|") != 1:
         bad = text.find("|", text.find("|") + 1)
         raise ParseError(
@@ -486,9 +447,7 @@ def _parse_text(text: str):
             bad if bad >= 0 else len(text),
         )
     left, right = text.split("|")
-    t = _parse_int_list(left, 0)
-    l = _parse_int_list(right, len(left) + 1)
-    return t, l
+    return _parse_int_list(left, 0), _parse_int_list(right, len(left) + 1)
 
 
 # -- edge collapse ----------------------------------------------------

@@ -367,11 +367,23 @@ class TestWorkerProcesses:
         assert h.hexdigest() == GOLDEN_STREAMS[sampler, n]
         assert pool_starts == ["fork"]
 
-    def test_result_equals_serial(self, pool_starts):
+    @pytest.mark.parametrize("sampler", list(chains._STEPPERS))
+    def test_result_equals_serial(self, sampler, pool_starts):
+        # symmetric and random-walk chains make no MH proposal, so their
+        # rates are NaN, each a new float once pickled back from a worker
         kw = dict(n_chains=3, n_steps=120, seed=41, thin=2)
-        forked = run_chains(20, threads=2, **kw)
+        forked = run_chains(20, sampler, threads=2, **kw)
         assert pool_starts == ["fork"]
-        assert forked == run_chains(20, threads=1, **kw)
+        serial = run_chains(20, sampler, threads=1, **kw)
+        assert forked == serial
+        assert repr(forked.acceptance_rates) == repr(serial.acceptance_rates)
+        assert forked != run_chains(20, sampler, threads=1, **(kw | {"seed": 42}))
+
+    def test_result_equality_counts_nan_rates_equal(self):
+        result = chains.RunResult([["0|4", "0,1|2,2"]], [float("nan")])
+        assert result == chains.RunResult([["0|4", "0,1|2,2"]], [float("nan")])
+        assert result != chains.RunResult([["0|4", "0,1|1,3"]], [float("nan")])
+        assert result != chains.RunResult([["0|4", "0,1|2,2"]], [0.5])
 
     def test_worker_error_reaches_caller(self, pool_starts):
         with pytest.raises(ValueError, match=r"^shape has no neighbors \(single-shape space\)$"):

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -238,6 +239,20 @@ class TestCountCap:
             count_space(n)
         assert enumeration._pair_entries.cache_info().currsize == 0
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: count_shapes(10**6, 151), lambda: pair_table(151), lambda: pair_table(10**9)],
+        ids=["count_shapes", "pair_table", "pair_table-huge"],
+    )
+    def test_k_past_cap_refused_before_any_table(self, call, monkeypatch):
+        def fail(k):
+            raise AssertionError(f"table {k} built")
+
+        monkeypatch.setattr(enumeration, "_pair_entries", fail)
+        monkeypatch.setattr(enumeration, "_weight_sums", fail)
+        with pytest.raises(ValueError, match=r"^k must be <= MAX_COUNT_TIPS = 150, got \d+$"):
+            call()
+
 
 class TestCountShapes:
     def test_published_cells(self):
@@ -260,6 +275,7 @@ class TestCountShapes:
         assert count_shapes(6, 0) == 0
         assert count_shapes(6, 6) == 0
         assert count_shapes(6, 99) == 0
+        assert count_shapes(10, 151) == 0  # past MAX_COUNT_TIPS, still just zero
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -313,6 +329,31 @@ class TestLabeledCounts:
         assert count_labeled_ranked(1) == 1
         assert count_labeled_ranked(8) == 10_270_696
         assert count_labeled_ranked(12) == 237_106_822_506_952
+
+    def test_ranked_multifurcating_matches_stirling_triangle(self):
+        # f(m) = sum_k S(m, k) f(k), read off the whole Stirling triangle
+        n = 120
+        stirling = [[1]]
+        for m in range(1, n + 1):
+            row = [0] * (m + 1)
+            for k in range(1, m + 1):
+                prev = stirling[m - 1]
+                row[k] = k * (prev[k] if k < m else 0) + prev[k - 1]
+            stirling.append(row)
+        f = [0] * (n + 1)
+        f[1] = 1
+        for m in range(2, n + 1):
+            f[m] = sum(stirling[m][k] * f[k] for k in range(1, m))
+        assert [count_labeled_ranked(m) for m in range(1, n + 1)] == f[1:]
+
+    def test_ranked_multifurcating_keeps_one_row(self):
+        tracemalloc.start()
+        try:
+            count_labeled_ranked(400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_ranked_multifurcating_column(self):
         expected = [4, 32, 436, 9012, 262760, 10270696, 518277560]

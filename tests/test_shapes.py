@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
 import pickle
 
 import numpy as np
@@ -24,7 +25,7 @@ from mtshapes import (
     validate_fmatrix,
     validate_string,
 )
-from mtshapes.chains import semi_random_init
+from mtshapes.chains import RunResult, semi_random_init
 from mtshapes.coalescent import UNIFORM_MEASURE, sample_topologies
 from mtshapes.enumeration import _compositions
 from mtshapes.shapes import fmatrix_to_string, string_to_fmatrix
@@ -470,21 +471,17 @@ class TestSerialization:
         assert 1024 not in table and 10**6 not in table
         assert len(table) <= 1024
 
-    def test_own_text_past_the_int_table(self):
-        table = shapes_module._int_of.__self__
-        for s in (
+    def test_samples_decode_counts_past_1023(self):
+        shapes = [
             TreeShape((0,), (1500,)),
             TreeShape((0, 1), (1023, 1024)),
             TreeShape((0, 1), (10**6, 1023)),
             FIG3,
-        ):
-            decoded = TreeShape._from_own_text(s.to_text())
-            assert decoded == s
+        ]
+        result = RunResult([[s.to_text() for s in shapes]], [math.nan])
+        assert result.samples == [shapes]
+        for decoded in result.samples[0]:
             assert all(type(x) is int for x in decoded.t + decoded.l)
-        assert TreeShape._from_own_text("0|1500").l == (1500,)
-        assert table["1023"] == 1023
-        assert "1024" not in table and "1500" not in table
-        assert len(table) == 1024
 
     def test_parse_errors_carry_offsets(self):
         with pytest.raises(ParseError) as err:
@@ -624,23 +621,18 @@ class TestTreeShape:
         assert type(s.t) is tuple and type(s.t[1]) is int
 
     def test_normalised_and_validated_once(self, monkeypatch):
-        calls = {"int": 0, "validate": 0}
-        as_int, validate = shapes_module._as_int, shapes_module.validate_string
-
-        def counting_as_int(x):
-            calls["int"] += 1
-            return as_int(x)
+        calls = []
+        validate = shapes_module.validate_string
 
         def counting_validate(*args):
-            calls["validate"] += 1
+            calls.append(args)
             return validate(*args)
 
-        monkeypatch.setattr(shapes_module, "_as_int", counting_as_int)
         monkeypatch.setattr(shapes_module, "validate_string", counting_validate)
         TreeShape([0, 1, 1], [0, 2, 2])
-        assert calls == {"int": 6, "validate": 1}
-        TreeShape.from_text("0,1,1|0,2,2")  # int() already normalised it
-        assert calls == {"int": 6, "validate": 2}
+        assert len(calls) == 1
+        TreeShape.from_text("0,1,1|0,2,2")
+        assert len(calls) == 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -84,9 +84,13 @@ class ChainState:
 
     def neighborhood(self) -> Neighborhood:
         """The current shape's neighborhood.  The steppers keep it patched;
-        it is rebuilt only if ``shape`` was set from outside."""
+        it is rebuilt only if ``shape`` was set from outside.  A shape
+        with no neighbors (the one shape of its space) is refused."""
         if self.cached is None or self.cached.shape is not self.shape:
-            self.cached = Neighborhood(self.shape)
+            nbhd = Neighborhood(self.shape)
+            if nbhd.degree == 0:
+                raise ValueError("shape has no neighbors (single-shape space)")
+            self.cached = nbhd
         return self.cached
 
 
@@ -123,16 +127,10 @@ def _below(word, state, n: int) -> int:
             return r
 
 
-def _require_neighbors(nbhd: Neighborhood) -> None:
-    if nbhd.degree == 0:
-        raise ValueError("shape has no neighbors (single-shape space)")
-
-
 def step_symmetric(state: ChainState, rng: np.random.Generator) -> ChainState:
     """One step of the symmetric chain: each neighbor with probability
     1/M_N, else hold (self-loop mass 1 - deg/M_N)."""
     here = state.neighborhood()
-    _require_neighbors(here)
     r = random_below(rng, max_degree(state.shape.n_tips))
     if r < here.degree:
         there = here.move(r)
@@ -144,7 +142,6 @@ def step_random_walk(state: ChainState, rng: np.random.Generator) -> ChainState:
     """One step of the simple random walk: a uniform neighbor, never a
     self-loop (reflects at binary shapes and at the star)."""
     here = state.neighborhood()
-    _require_neighbors(here)
     there = here.move(random_below(rng, here.degree))
     state.shape, state.cached = there.shape, there
     return state
@@ -158,7 +155,6 @@ def step_mh_uniform(state: ChainState, rng: np.random.Generator) -> ChainState:
     ``rng.random()`` would return), whether or not the test needs it.
     """
     here = state.neighborhood()
-    _require_neighbors(here)
     bitgen = rng.bit_generator
     c = bitgen.ctypes
     with bitgen.lock:

@@ -49,7 +49,6 @@ from .lattice import (
 from .shapes import TreeShape, _text_columns
 from .treestats import (
     _Columns,
-    _concat_columns,
     _node_columns,
     _stats_columns,
     _summary,
@@ -83,11 +82,11 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _parse_lines(text: str) -> list[TreeShape]:
+def _parse_lines(text: str, lines_before: int) -> list[TreeShape]:
     """One shape per non-blank line, in text or JSON form; an error names
-    its line."""
+    its line, counting ``lines_before`` lines ahead of ``text``."""
     shapes = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=lines_before + 1):
         line = line.strip()
         if not line:
             continue
@@ -113,22 +112,25 @@ def _text_blocks(text: str):
 
 
 def _sample_columns(text: str) -> _Columns:
-    """The shapes of ``text`` as statistics columns.  Canonical text is
-    checked and decoded a block at a time; any other input (JSON lines,
-    blank or padded lines, counts of 10**9 or more, a shape that breaks a
-    rule) goes through the per-line reader, which names the line at fault."""
-    parts = []
+    """The shapes of ``text`` as statistics columns, a block at a time.
+    A canonical block is checked and decoded in numpy; any other block
+    (JSON lines, blank or padded lines, counts of 10**9 or more, a shape
+    that breaks a rule) goes through the per-line reader, which names the
+    line at fault in the whole input."""
+    parts, count, lines = [], 0, 0
     for block in _text_blocks(text):
         nodes = _text_columns(block)
         if nodes is None:
-            shapes = _parse_lines(text)
-            if not shapes:
-                raise ValueError("no shapes in input")
-            return _stats_columns(shape_stats(s) for s in shapes)
-        parts.append(_node_columns(*nodes))
-    if not parts:
+            stats = [shape_stats(s) for s in _parse_lines(block, lines)]
+            part = _stats_columns(stats, count)
+        else:
+            part = _node_columns(*nodes, count)
+        parts.append(part)
+        count += part.k.size
+        lines += block.count("\n")
+    if not count:
         raise ValueError("no shapes in input")
-    return _concat_columns(parts)
+    return _Columns(*(np.concatenate(column, axis=-1) for column in zip(*parts)))
 
 
 def _emit(line: str = ""):

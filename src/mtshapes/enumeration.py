@@ -171,9 +171,6 @@ def count_labeled_binary(n: int) -> int:
 
 
 def _t_vectors(k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield (0,)
-        return
     for rest in itertools.product(*(range(1, i) for i in range(2, k + 1))):
         yield (0,) + rest
 

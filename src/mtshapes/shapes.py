@@ -112,8 +112,8 @@ def validate_string(t, l, n=None) -> str | None:
     * S3: a node with no internal children keeps at least 2 leaves;
     * S4: a node with exactly one internal child keeps at least 1 leaf.
 
-    Structural problems (unequal or zero lengths, non-integers) raise
-    ``ValueError`` instead of naming a constraint.
+    Structural problems raise instead of naming a constraint: unequal or
+    zero lengths raise ``ValueError``, non-integers ``TypeError``.
     """
     t, l = _check_vectors(t, l)
     if t[0] != 0:
@@ -202,11 +202,12 @@ def _as_matrix(f) -> np.ndarray:
     m = np.asarray(f)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.issubdtype(m.dtype, np.integer):
-        if np.issubdtype(m.dtype, np.floating) and np.all(m == np.floor(m)):
-            m = m.astype(np.int64)
-        else:
-            raise ValueError("matrix entries must be integers")
+    # A float entry counts only as a finite integer that int64 holds.
+    if not np.issubdtype(m.dtype, np.integer) and not (
+        np.issubdtype(m.dtype, np.floating)
+        and np.all((m == np.floor(m)) & (m >= -(2**63)) & (m < 2**63))
+    ):
+        raise ValueError("matrix entries must be integers")
     m = m.astype(np.int64, copy=False)
     if np.any(np.triu(m, 1) != 0):
         raise ValueError("matrix must be lower triangular")

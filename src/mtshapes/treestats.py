@@ -73,11 +73,6 @@ def aggregate(
 _MAX_TIPS = 2**53
 
 
-def _check_tips(n_max: int):
-    if n_max >= _MAX_TIPS:
-        raise ValueError(f"stats takes shapes with fewer than 2**53 tips, got {n_max}")
-
-
 class _Columns(NamedTuple):
     """A sample as per-shape int64 columns, in sample order.  Cherry
     counts are kept sparse, one (size m, shape index, count) column per
@@ -93,46 +88,37 @@ class _Columns(NamedTuple):
         return (self.n + self.k - 1) / self.k
 
 
-def _stats_columns(stats: Iterable[ShapeStats]) -> _Columns:
+def _stats_columns(stats: Iterable[ShapeStats], start: int = 0) -> _Columns:
+    """Columns of per-shape statistics, numbering the shapes from ``start``."""
     items = list(stats)
     n = [s.n for s in items]
-    _check_tips(max(n, default=0))
-    cherries = [(m, i, c) for i, s in enumerate(items) for m, c in s.cherries]
+    # 2**53 tips or more: exact Python ints, which int64 may not hold, for
+    # ``_summary`` to refuse.
+    dtype = np.int64 if max(n, default=0) < _MAX_TIPS else object
+    cherries = [(m, i, c) for i, s in enumerate(items, start) for m, c in s.cherries]
     return _Columns(
-        np.array(n, dtype=np.int64),
-        np.array([s.k for s in items], dtype=np.int64),
-        np.array([s.max_block for s in items], dtype=np.int64),
-        np.array(cherries, dtype=np.int64).reshape(-1, 3).T,
+        np.array(n, dtype=dtype),
+        np.array([s.k for s in items], dtype=dtype),
+        np.array([s.max_block for s in items], dtype=dtype),
+        np.array(cherries, dtype=dtype).reshape(-1, 3).T,
     )
 
 
-def _node_columns(k: np.ndarray, internal: np.ndarray, leaves: np.ndarray) -> _Columns:
+def _node_columns(
+    k: np.ndarray, internal: np.ndarray, leaves: np.ndarray, start: int
+) -> _Columns:
     """Columns of shapes given node by node: K per shape, then every
     node's internal-child and leaf counts (``children_counts()`` of each
-    shape, concatenated)."""
+    shape, concatenated).  The shapes are numbered from ``start``."""
     first = np.cumsum(k) - k
     leaves = leaves.astype(np.int64)
     n = np.add.reduceat(leaves, first)
-    _check_tips(int(n.max(initial=0)))
     max_block = np.maximum.reduceat(internal + leaves, first)
     shape = np.repeat(np.arange(k.size), k)
     cherry = internal == 0
     key, count = np.unique(leaves[cherry] * k.size + shape[cherry], return_counts=True)
-    cherries = np.stack((key // k.size, key % k.size, count))
+    cherries = np.stack((key // k.size, key % k.size + start, count))
     return _Columns(n, k, max_block, cherries)
-
-
-def _concat_columns(parts: Sequence[_Columns]) -> _Columns:
-    """One sample from consecutive parts, renumbering the shapes."""
-    shift = np.cumsum([0] + [p.k.size for p in parts[:-1]])
-    return _Columns(
-        np.concatenate([p.n for p in parts]),
-        np.concatenate([p.k for p in parts]),
-        np.concatenate([p.max_block for p in parts]),
-        np.concatenate(
-            [p.cherries + [[0], [s], [0]] for p, s in zip(parts, shift)], axis=1
-        ),
-    )
 
 
 def _lower_median(x: np.ndarray):
@@ -147,6 +133,9 @@ def _summary(cols: _Columns, cherry_sizes: Sequence[int]) -> StatsSummary:
     count = cols.k.size
     if not count:
         raise ValueError("cannot aggregate an empty sample")
+    n_max = cols.n.max()
+    if n_max >= _MAX_TIPS:
+        raise ValueError(f"stats takes shapes with fewer than 2**53 tips, got {n_max}")
     avgs = cols.avg_block()
     totals = dict.fromkeys(cherry_sizes, 0)
     terms = dict.fromkeys(totals, ())  # per size, c / n of each shape with c > 0

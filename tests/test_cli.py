@@ -105,6 +105,10 @@ class TestValidate:
 
 
 class TestConvert:
+    def test_to_text_by_default(self, capsys):
+        got = run_cli(capsys, "convert", "--tree", '{"t": [0, 1], "l": [2, 2]}')
+        assert got == (0, "0,1|2,2\n", "")
+
     def test_to_fmatrix(self, capsys):
         code, out, _ = run_cli(capsys, "convert", "--tree", "0,1,2|1,1,2", "--to", "fmatrix")
         assert out.splitlines() == ["2", "1,3", "1,2,4"]
@@ -159,6 +163,10 @@ class TestDistanceAndDegree:
     def test_distance(self, capsys):
         code, out, _ = run_cli(capsys, "distance", "--a", "0,1|2,2", "--b", "0|4")
         assert code == 0 and out.strip() == "1"
+
+    def test_degree_text(self, capsys):
+        got = run_cli(capsys, "degree", "--tree", "0,1|2,2")
+        assert got == (0, "deg_plus=1 deg_minus=2 total=3\n", "")
 
     def test_degree_json(self, capsys):
         _, out, _ = run_cli(capsys, "degree", "--tree", "0,1|2,2", "--json")

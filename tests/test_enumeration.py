@@ -73,9 +73,10 @@ def all_t_vectors(k):
 def k0_k1(t):
     """How many ranks are absent from ``t[1:]`` and how many appear there
     exactly once (the placeholder 0 is never counted)."""
-    seen = Counter(t[1:])
-    ranks = range(1, len(t) + 1)
-    return sum(seen[r] == 0 for r in ranks), sum(seen[r] == 1 for r in ranks)
+    seen = [0] * (len(t) + 1)
+    for p in t[1:]:
+        seen[p] += 1
+    return seen[1:].count(0), seen[1:].count(1)
 
 
 def count_by_t_sum(n, k):

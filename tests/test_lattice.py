@@ -253,6 +253,10 @@ class TestLub:
         with pytest.raises(ValueError):
             lub_fmatrix([[2, 0], [1, 3]], fx)
 
+    def test_inputs_must_have_the_same_tips(self):
+        with pytest.raises(ValueError, match="^shapes must have the same number of tips$"):
+            lub_fmatrix([[2, 0], [1, 3]], [[4]])
+
     @pytest.mark.parametrize("fx, fy", [([[3, 0], [0, 5]], [[5]]), ([[5]], [[3, 0], [0, 5]])])
     def test_inputs_must_pass_the_f_rules(self, fx, fy):
         # [[3, 0], [0, 5]] breaks F1: its subdiagonal entry is not 3 - 1

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,18 @@ class TestValidateFmatrix:
             validate_fmatrix([[2, 1], [1, 3]])
         with pytest.raises(ValueError):
             validate_fmatrix([[2, 0], [-1, 3]])
+
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan"), 1e300, 2.5])
+    def test_float_entry_must_be_an_int64_integer(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast of inf, nan or 1e300
+            with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+                validate_fmatrix([[x]])
+
+    def test_integral_float_entries_are_read_as_ints(self):
+        assert validate_fmatrix([[2.0]]) is None
+        assert validate_fmatrix([[2.0, 0.0], [1.0, 3.0]], n=3) is None
+        assert validate_fmatrix([[1.0]]) == "F1"
 
     def test_every_generated_fmatrix_is_valid(self):
         for n in range(2, 8):

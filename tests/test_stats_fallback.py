@@ -1,10 +1,10 @@
 """``mtshapes stats`` against a copy of its earlier per-line implementation.
 
-Canonical text goes through the bulk reader; every other accepted form
-falls back to the per-line reader.  Either way the exit status, stdout
-and stderr must equal those of ``reference_stats``, which keeps the
-per-line reader, per-shape statistics and aggregation that ``stats``
-used before it read columns.
+A block of canonical text goes through the bulk reader; a block holding
+any other accepted form goes through the per-line reader.  Either way
+the exit status, stdout and stderr must equal those of
+``reference_stats``, which keeps the per-line reader, per-shape
+statistics and aggregation that ``stats`` used before it read columns.
 """
 
 import csv
@@ -111,6 +111,8 @@ CANONICAL = "".join(s.to_text() + "\n" for s in generate_all(6))
 # that breaks S3.
 LONG = "".join(s.to_text() + "\n" for s in generate_all(7)) * 64
 LONG_BAD = LONG + "0|4\n0,1|2,1\n0|4\n"
+# The same lines, then one padded line: only the last block is not canonical.
+LONG_PADDED = LONG + " 0|4\n0,1|2,2\n"
 
 INPUTS = {
     "canonical": CANONICAL.encode(),
@@ -127,6 +129,7 @@ INPUTS = {
     "empty": b"",
     "long": LONG.encode(),
     "long-bad-last-block": LONG_BAD.encode(),
+    "long-padded-last-block": LONG_PADDED.encode(),
 }
 
 
@@ -177,3 +180,43 @@ def test_canonical_input_is_not_checked_shape_by_shape(capsys, monkeypatch, tmp_
     path.write_text(CANONICAL + "\n")  # a blank line: read line by line
     assert run_stats(capsys, str(path), as_json=True)[0] == 0
     assert len(calls) == CANONICAL.count("\n")
+
+
+def test_only_the_non_canonical_block_is_read_line_by_line(capsys, monkeypatch, tmp_path):
+    blocks = list(_text_blocks(LONG_PADDED))
+    assert len(blocks) > 3 and " " not in "".join(blocks[:-1])
+    last = [TreeShape.from_text(line.strip()) for line in blocks[-1].splitlines()]
+    calls = []
+    real = shapes_module.validate_string
+    monkeypatch.setattr(
+        shapes_module, "validate_string", lambda *a: calls.append(a) or real(*a)
+    )
+    path = tmp_path / "shapes.txt"
+    path.write_text(LONG_PADDED)
+    assert run_stats(capsys, str(path), as_json=True)[0] == 0
+    assert [(tuple(t), tuple(l)) for t, l in calls] == [(s.t, s.l) for s in last]
+
+
+TIPS_2_53 = f"0|{2**53}\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+@pytest.mark.parametrize("tips", [2**53, 10**30])
+def test_2_to_the_53_tips_refused(capsys, tmp_path, as_json, tips):
+    path = tmp_path / "shapes.txt"
+    path.write_text(f"0|{2**53 - 1}\n" + LONG + f"0,1|2,{tips - 2}\n")
+    assert run_stats(capsys, str(path), as_json) == (
+        1, "", f"error: stats takes shapes with fewer than 2**53 tips, got {tips}\n"
+    )
+    path.write_text(f"0|{2**53 - 1}\n")
+    assert run_stats(capsys, str(path), as_json)[0] == 0
+
+
+def test_malformed_later_line_comes_before_the_tip_refusal(capsys, tmp_path):
+    text = TIPS_2_53 + LONG + "0|4\n0,1|2,1\n"
+    assert len(list(_text_blocks(text))) > 3
+    path = tmp_path / "shapes.txt"
+    path.write_text(text)
+    code, out, err = run_stats(capsys, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: line {text.count(chr(10))}: S3: ")

@@ -15,8 +15,9 @@ from mtshapes.chains import semi_random_init
 from mtshapes.coalescent import UNIFORM_MEASURE, sample_topologies
 from mtshapes.shapes import _text_columns
 from mtshapes.treestats import (
-    _concat_columns,
+    _Columns,
     _node_columns,
+    _stats_columns,
     _summary,
     aggregate,
     shape_stats,
@@ -124,20 +125,26 @@ def sampled_shapes(draw):
         else:
             shapes.append(sample_topologies(n, UNIFORM_MEASURE, 1, rng)[0])
     cuts = draw(st.sets(st.integers(1, len(shapes)), max_size=5))
-    return shapes, sorted(cuts - {len(shapes)})
+    per_line = [draw(st.booleans()) for _ in range(len(cuts) + 1)]
+    return shapes, sorted(cuts - {len(shapes)}), per_line
 
 
 @settings(deadline=None, derandomize=True)
 @given(sampled_shapes())
 def test_blocks_cut_at_any_line_give_the_per_shape_columns(drawn):
-    shapes, cuts = drawn
+    """Each block's shapes are numbered from the count before it, as
+    ``stats`` does, so the parts join field by field.  A block goes
+    through the bulk reader or, where drawn, the per-shape statistics."""
+    shapes, cuts, per_line = drawn
     lines = [s.to_text() + "\n" for s in shapes]
     bounds = [0, *cuts, len(shapes)]
     parts = [
-        _node_columns(*_text_columns("".join(lines[a:b])))
-        for a, b in zip(bounds, bounds[1:])
+        _stats_columns((shape_stats(s) for s in shapes[a:b]), a)
+        if slow
+        else _node_columns(*_text_columns("".join(lines[a:b])), a)
+        for a, b, slow in zip(bounds, bounds[1:], per_line)
     ]
-    cols = _concat_columns(parts)
+    cols = _Columns(*(np.concatenate(c, axis=-1) for c in zip(*parts)))
     whole = _text_columns("".join(lines))
     assert as_lists(whole) == list(expected_columns(shapes))
     # per-shape columns against the scalar oracle

@@ -87,6 +87,15 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
+    @pytest.mark.parametrize("tips", [2**53, 2**53 + 1, 10**30])
+    def test_refuses_2_to_the_53_tips(self, tips):
+        ok = shape_stats(TreeShape((0,), (2**53 - 1,)))
+        assert aggregate([ok]).mean_avg_block == 2**53 - 1
+        big = shape_stats(TreeShape((0,), (tips,)))
+        message = f"^stats takes shapes with fewer than 2\\*\\*53 tips, got {tips}$"
+        with pytest.raises(ValueError, match=message):
+            aggregate([ok, big, ok])
+
     def test_cherry_range_configurable(self):
         st = shape_stats(TreeShape((0,), (9,)))
         summary = aggregate([st], cherry_sizes=range(2, 10))

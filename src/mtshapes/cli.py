@@ -239,15 +239,13 @@ def cmd_degree(args) -> int:
 
 def cmd_hasse(args) -> int:
     graph = build_hasse(args.n)
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
-        texts = [v.to_text() for v in graph.vertices]
-        for child, ups in zip(texts, graph.up):
-            for parent in ups:
-                out.write(f"{texts[parent]}\t{child}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    texts = [v.to_text() for v in graph.vertices]
+    lines = "".join(f"{texts[p]}\t{c}\n" for c, ups in zip(texts, graph.up) for p in ups)
+    if args.out is None:
+        sys.stdout.write(lines)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(lines)
     return 0
 
 
@@ -357,20 +355,21 @@ def cmd_stats(args) -> int:
     writer.writerow(
         ["n", "k", "max_block", "avg_block"] + [f"cherry_{m}" for m in sizes]
     )
-    cherries = [{} for _ in range(cols.k.size)]
-    for m, i, c in zip(*cols.cherries.tolist()):
-        cherries[i][m] = c
-    rows = zip(
-        cols.n.tolist(),
-        cols.k.tolist(),
-        cols.max_block.tolist(),
-        cols.avg_block().tolist(),
-        cherries,
-    )
-    for n, k, max_block, avg_block, counts in rows:
-        writer.writerow(
-            [n, k, max_block, f"{avg_block:.6g}"] + [counts.get(m, 0) for m in sizes]
-        )
+    # A block of rows at a time, so that no record per shape is held: each
+    # block's cherry counts fill a dense array from the (size, shape, count) columns.
+    avg = cols.avg_block()
+    order = np.argsort(cols.cherries[1])
+    step = 2**14 // args.max_cherry
+    ends = np.searchsorted(cols.cherries[1, order], range(0, cols.k.size + step, step)).tolist()
+    for lo, a, b in zip(range(0, cols.k.size, step), ends, ends[1:]):
+        hi = min(lo + step, cols.k.size)
+        size, shape, count = cols.cherries[:, order[a:b]]
+        keep = size <= args.max_cherry
+        counts = np.zeros((hi - lo, len(sizes)), dtype=np.int64)
+        counts[shape[keep] - lo, size[keep] - 2] = count[keep]
+        block = cols.n[lo:hi], cols.k[lo:hi], cols.max_block[lo:hi], avg[lo:hi], counts
+        for n, k, max_block, avg_block, row in zip(*(c.tolist() for c in block)):
+            writer.writerow([n, k, max_block, f"{avg_block:.6g}", *row])
     return 0
 
 

@@ -175,13 +175,12 @@ def _t_vectors(k: int) -> Iterator[tuple[int, ...]]:
         yield (0,) + rest
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    # Stars and bars: bar positions in lexicographic order give the parts in it.
+    return [
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (total + parts - 1,)))
+        for bars in itertools.combinations(range(total + parts - 1), parts - 1)
+    ]
 
 
 def generate_all(n: int, k: int | None = None) -> Iterator[TreeShape]:
@@ -211,11 +210,12 @@ def generate_all(n: int, k: int | None = None) -> Iterator[TreeShape]:
             f"exhaustive generation at {where} yields {size} shapes; "
             f"cap is MAX_GENERATED_SHAPES = {MAX_GENERATED_SHAPES}"
         )
+    compositions = functools.cache(_compositions)  # this call's table, keyed by (spare, K)
     for kk in ks:
         for t in _t_vectors(kk):
             mins = _min_leaves(t)
             spare = n - sum(mins)
             if spare < 0:
                 continue
-            for extra in _compositions(spare, kk):
-                yield TreeShape._trusted(t, tuple(m + e for m, e in zip(mins, extra)))
+            for extra in compositions(spare, kk):
+                yield TreeShape._trusted(t, tuple(map(operator.add, mins, extra)))

@@ -382,23 +382,24 @@ class LatticeGraph:
 
 def build_hasse(n: int) -> LatticeGraph:
     """Materialize the covering graph over every shape with ``n`` tips
-    (``generate_all``'s cap applies: N <= 9)."""
+    (``generate_all``'s cap applies: N <= 9).  Each present edge e of a parent
+    vector t is collapsed once; (t, l) covers the shape of that vector whose
+    leaves are l with l[e - 1] and l[e] merged."""
     vertices = tuple(generate_all(n))
+    rows: dict[tuple, dict[tuple, int]] = {}  # t -> {l: vertex index}
+    for i, v in enumerate(vertices):
+        rows.setdefault(v.t, {})[v.l] = i
+    up, down = [], [[] for _ in vertices]
+    for t, row in rows.items():
+        edges = [e for e in range(1, len(t)) if t[e] == e]
+        collapsed = [(e, rows[t[:e] + tuple(p - (p > e) for p in t[e + 1 :])]) for e in edges]
+        for l, i in row.items():
+            ups = sorted(at[l[: e - 1] + (l[e - 1] + l[e],) + l[e + 1 :]] for e, at in collapsed)
+            up.append(tuple(ups))
+            for j in ups:
+                down[j].append(i)
     index = {v: i for i, v in enumerate(vertices)}
-    up = tuple(
-        tuple(sorted(index[c] for c in covers(v))) for v in vertices
-    )
-    down: list[list[int]] = [[] for _ in vertices]
-    for i, ups in enumerate(up):
-        for j in ups:
-            down[j].append(i)
-    return LatticeGraph(
-        n=n,
-        vertices=vertices,
-        up=up,
-        down=tuple(tuple(d) for d in down),
-        index=index,
-    )
+    return LatticeGraph(n, vertices, tuple(up), tuple(map(tuple, down)), index)
 
 
 def diameter(graph: LatticeGraph) -> int:

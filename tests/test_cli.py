@@ -7,11 +7,13 @@ import io
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mtshapes import TreeShape, chains, cli, count_space, covers, generate_all
 from mtshapes.chains import MAX_KERNEL_BYTES
 from mtshapes.cli import build_parser, main
+from mtshapes.coalescent import BetaMeasure, sample_topologies
 from mtshapes.enumeration import MAX_COUNT_TIPS, _pair_entries
 
 
@@ -494,6 +496,30 @@ class TestStats:
         src.write_text("0|4\n")
         _, out, _ = run_cli(capsys, "stats", "--in", str(src), "--json")
         assert json.loads(out)["median_k"] == 1
+
+    def test_csv_peak_memory_is_near_the_summary_only_peak(self, tmp_path, monkeypatch):
+        # CSV rows are written a block at a time from the sparse cherry
+        # columns, with no record per shape (17.2 MB against 7.5 MB when
+        # each shape had a dict of its cherry counts).
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        rng = np.random.Generator(np.random.PCG64(7))
+        shapes = sample_topologies(20, BetaMeasure.from_alpha(1.0), 40_000, rng)
+        src = tmp_path / "shapes.txt"
+        src.write_text("".join(s.to_text() + "\n" for s in shapes))
+        del shapes
+        monkeypatch.setattr("sys.stdout", Discard())
+        peaks = {}
+        for fmt in ("csv", "json"):
+            tracemalloc.start()
+            try:
+                assert main(["stats", "--in", str(src)] + ["--json"] * (fmt == "json")) == 0
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["csv"] < 1.15 * peaks["json"]
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -453,3 +453,41 @@ class TestGenerateAll:
         shapes = list(generate_all(6))
         assert shapes == sorted(shapes)
         assert shapes == list(generate_all(6))
+
+
+def reference_compositions(total, parts):
+    """The recursive leaf compositions ``generate_all`` once drew from."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in reference_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def reference_generate_all(n, k=None):
+    """(t, l) pairs in the order of the recursive generator: every parent
+    vector in ``itertools.product`` order, each with every composition of
+    its spare leaves."""
+    for kk in range(1, n) if k is None else [k]:
+        for rest in itertools.product(*(range(1, i) for i in range(2, kk + 1))):
+            t = (0,) + rest
+            mins = _min_leaves(t)
+            spare = n - sum(mins)
+            if spare < 0:
+                continue
+            for extra in reference_compositions(spare, kk):
+                yield t, tuple(m + e for m, e in zip(mins, extra))
+
+
+class TestGeneratorOracle:
+    @pytest.mark.parametrize("n, k", [(n, None) for n in range(2, 10)] + [(10, 2), (30, 3)])
+    def test_same_shapes_in_the_same_order(self, n, k):
+        assert [(s.t, s.l) for s in generate_all(n, k)] == list(reference_generate_all(n, k))
+
+    def test_compositions_in_lexicographic_order(self):
+        for total in range(9):
+            for parts in range(1, 7):
+                got = enumeration._compositions(total, parts)
+                assert got == list(reference_compositions(total, parts))
+                assert got == sorted(got) and all(type(c) is tuple for c in got)

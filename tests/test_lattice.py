@@ -408,7 +408,30 @@ class TestLatticeLaws:
         assert lattice_distance(a, c) <= d_ab + lattice_distance(b, c)
 
 
+def reference_build_hasse(n):
+    """The covering graph built shape by shape through ``covers``, one
+    collapse and one shape lookup per covering edge."""
+    vertices = tuple(generate_all(n))
+    index = {v: i for i, v in enumerate(vertices)}
+    up = tuple(tuple(sorted(index[c] for c in covers(v))) for v in vertices)
+    down = [[] for _ in vertices]
+    for i, ups in enumerate(up):
+        for j in ups:
+            down[j].append(i)
+    return lattice.LatticeGraph(n, vertices, up, tuple(tuple(d) for d in down), index)
+
+
 class TestHasse:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_the_cover_by_cover_build(self, n):
+        got, want = lattice.build_hasse(n), reference_build_hasse(n)
+        assert got.n == want.n
+        assert got.vertices == want.vertices
+        assert got.up == want.up
+        assert got.down == want.down
+        assert list(got.index.items()) == list(want.index.items())
+        assert all(type(u) is tuple for u in got.up + got.down)
+
     def test_n4_structure(self, hasse):
         g = hasse[4]
         assert g.n_vertices == 5

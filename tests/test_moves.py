@@ -10,6 +10,7 @@ calls ``rng.integers(0, 2**32, dtype=np.uint64)`` and ``rng.random()``.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from mtshapes.chains import (
     step_random_walk,
     step_symmetric,
 )
+from mtshapes.coalescent import BetaMeasure, sample_topologies
 from mtshapes.lattice import Neighborhood, max_degree, max_degree_tree, split_count
 
 STEPPERS = {
@@ -185,6 +187,63 @@ def test_every_move_equals_a_fresh_build(n):
             assert fields(moved) == fields(Neighborhood(moved.shape))
             assert moved.shape == reference_neighbor(shape, r)
             assert nbhd.neighbor(r) == moved.shape
+
+
+def rank_of(nbhd, y):
+    """The rank r with ``nbhd.move(r).shape == y`` for a neighbour y of
+    x = ``nbhd.shape``, worked out from x and y alone in the rank order
+    that ``Neighborhood`` documents."""
+    x = nbhd.shape
+    if y.n_internal < x.n_internal:
+        # y is the collapse of one present edge of x
+        return next(r for r, e in enumerate(present_edges(x)) if collapse_edge(x, e) == y)
+    # y splits node v of x, so x is the collapse of y's edge v, and y's
+    # node v + 1 holds the moved internal children (x's ranks are one
+    # lower past v + 1) and j moved leaves.
+    v = next(e for e in present_edges(y) if collapse_edge(y, e) == x)
+    moved = [c - 1 for c, p in enumerate(y.t[v + 1 :], start=v + 2) if p == v + 1]
+    m, j = len(moved), y.l[v]
+    profile = x.children_counts()
+    k, l = profile[v - 1]
+    rank = len(present_edges(x)) + sum(split_count(*p) for p in profile[: v - 1])
+    # the (size, moved leaves) cells before (m + j, j), each of comb(k, size - leaves)
+    for size in range(2, m + j + 1):
+        for leaves in range(max(0, size - k), min(size, l) + 1):
+            if (size, leaves) == (m + j, j):
+                break
+            rank += math.comb(k, size - leaves)
+    # the lexicographic rank of the moved subset among m-subsets of v's children
+    children = [c for c, p in enumerate(x.t, start=1) if p == v]
+    start = 0
+    for i, pos in enumerate(map(children.index, moved)):
+        rank += sum(math.comb(k - q - 1, m - i - 1) for q in range(start, pos))
+        start = pos + 1
+    return rank
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 100),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.5, 1.0, 1.5]),
+)
+def test_every_move_has_exactly_one_reverse_move(n, seed, alpha):
+    # For every collapse rank and a sample of split ranks r, the move back
+    # from y = move(r) to x exists, and no other rank of x reaches y.
+    rng = rng_from(seed)
+    shapes = [semi_random_init(n, 1 + seed % (n - 1), rng)]
+    shapes += sample_topologies(n, BetaMeasure.from_alpha(alpha), 2, rng)
+    pick = random.Random(seed)
+    for x in shapes:
+        nbhd = Neighborhood(x)
+        ranks = list(range(len(nbhd.edges)))
+        splits = range(len(nbhd.edges), nbhd.degree)
+        if splits:
+            ranks += [splits[0], splits[-1], *(pick.choice(splits) for _ in range(20))]
+        for r in ranks:
+            there = nbhd.move(r)
+            assert there.move(rank_of(there, x)).shape == x
+            assert rank_of(nbhd, there.shape) == r
 
 
 def test_move_rank_out_of_range():

@@ -50,7 +50,7 @@ CENSUS = {
     },
     "lattice": {
         "present_edges": PKG + "lattice.py",
-        "covers": PKG + "lattice.py",
+        "covers": "demos/03_lattice.py",
         "split_count": PKG + "lattice.py",
         "Neighborhood": PKG + "chains.py",
         "refinements_below": "demos/03_lattice.py",

@@ -24,7 +24,7 @@ from mtshapes import (
 
 N = 20
 print(f"uniform law via Metropolis-Hastings: {N - 1} chains x {200 * N} steps")
-mh = run_chains(N, "mh-uniform", n_chains=N - 1, n_steps=200 * N, seed=2024)
+mh = run_chains(N, n_chains=N - 1, n_steps=200 * N, seed=2024)
 print("per-chain acceptance rates:", " ".join(f"{r:.2f}" for r in mh.acceptance_rates))
 uniform = aggregate(shape_stats(s) for s in mh.pooled())
 

@@ -1,11 +1,11 @@
 """Markov chains on the refinement lattice of shapes with N tips.
 
-Two kernels use the covering graph directly: a symmetric chain that
-jumps to each neighbor with probability 1/M_N (uniform stationary law)
-and the simple random walk (stationary law proportional to degree).
-Metropolis-Hastings with the random walk as proposal samples the uniform
-distribution.  Small spaces admit exact analysis: dense kernels,
-stationary checks, spectral gaps, and exhaustive bottleneck ratios.
+Two kernels use the covering graph directly, each stepped on a
+``ChainState``: a symmetric chain (uniform stationary law) and the
+simple random walk (stationary law proportional to degree).
+``run_chains`` runs Metropolis-Hastings chains, with the walk as
+proposal, that sample the uniform law.  Small spaces admit exact
+analysis: dense kernels, stationary checks, spectral gaps, bottleneck ratios.
 
 Neighbor moves never materialize the (possibly huge) refinement set: a
 single uniform integer below the degree is unranked into either a
@@ -197,6 +197,8 @@ def semi_random_init(n: int, k: int, rng: np.random.Generator) -> TreeShape:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in 1..{n - 1}, got {k}")
+    if n > 2**62:  # s_j <= n + k - 1 < 2n must fit in int64
+        raise ValueError(f"n must be <= 2**62, got {n}")
     s = np.arange(k)
     s[-1] += n
     if k > 1:
@@ -223,15 +225,6 @@ class RunResult:
     lines: list[list[str]]
     acceptance_rates: list[float]
 
-    def __eq__(self, other):
-        # A chain that makes no MH proposal has rate NaN, and a NaN pickled
-        # back from a worker is a new object, so two NaNs count as equal.
-        if not isinstance(other, RunResult):
-            return NotImplemented
-        return self.lines == other.lines and np.array_equal(
-            self.acceptance_rates, other.acceptance_rates, equal_nan=True
-        )
-
     @cached_property
     def samples(self) -> list[list[TreeShape]]:
         return [[TreeShape._trusted(*_parse_text(s)) for s in chain] for chain in self.lines]
@@ -241,20 +234,12 @@ class RunResult:
         return [s for chain in self.samples for s in chain]
 
 
-_STEPPERS = {
-    "mh-uniform": step_mh_uniform,
-    "symmetric": step_symmetric,
-    "random-walk": step_random_walk,
-}
-
-
-def _run_one_chain(n, sampler, n_steps, thin, k, seed_seq):
+def _run_one_chain(n, n_steps, thin, k, seed_seq):
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     state = ChainState(semi_random_init(n, k, rng))
-    stepper = _STEPPERS[sampler]
     out = []
     for s in range(1, n_steps + 1):
-        stepper(state, rng)
+        step_mh_uniform(state, rng)
         if s % thin == 0:
             out.append(state.shape.to_text())
     return out, state.acceptance_rate
@@ -268,7 +253,6 @@ def _usable_cpus() -> int:
 
 def run_chains(
     n: int,
-    sampler: str = "mh-uniform",
     *,
     n_chains: int,
     n_steps: int,
@@ -276,12 +260,12 @@ def run_chains(
     thin: int = 1,
     threads: int = 1,
 ) -> RunResult:
-    """Run independent chains with per-chain RNG streams spawned from one
-    seed; the output is identical however the chains are scheduled.
+    """Run independent MH chains (``step_mh_uniform``) on RNG streams spawned
+    from one seed; the output is identical however they are scheduled.
 
     Chain i starts at a semi-random shape with (i mod (N-1)) + 1 internal
     nodes, drawn from that chain's own stream.  To start from a chosen
-    shape, step a ``ChainState`` directly.
+    shape, or to run another chain, step a ``ChainState`` directly.
 
     ``threads`` runs the chains in up to min(threads, n_chains, usable
     CPUs) forked worker processes, with output identical to a serial run.
@@ -289,17 +273,12 @@ def run_chains(
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if sampler not in _STEPPERS:
-        raise ValueError(f"sampler must be one of {tuple(_STEPPERS)}, got {sampler!r}")
     if n_chains < 1 or n_steps < 1 or thin < 1:
         raise ValueError("n_chains, n_steps and thin must be positive")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     seqs = np.random.SeedSequence(seed).spawn(n_chains)
-    jobs = [
-        (n, sampler, n_steps, thin, (i % (n - 1)) + 1, seqs[i])
-        for i in range(n_chains)
-    ]
+    jobs = [(n, n_steps, thin, (i % (n - 1)) + 1, seqs[i]) for i in range(n_chains)]
     workers = min(threads, n_chains, _usable_cpus())
     if workers > 1:
         # Imported here so that `import mtshapes.cli` does not pay for it.
@@ -378,7 +357,6 @@ def stationary_distribution(graph: LatticeGraph, kind: str) -> np.ndarray:
 class BottleneckResult:
     """Exhaustive bottleneck ratio and every minimizing subset."""
 
-    kind: str
     phi_star: Fraction
     minimizers: list[tuple[TreeShape, ...]]
 
@@ -417,7 +395,7 @@ def exact_bottleneck(graph: LatticeGraph, kind: str) -> BottleneckResult:
         tuple(graph.vertices[i] for i in np.flatnonzero(member[s]))
         for s in arg
     ]
-    return BottleneckResult(kind=kind, phi_star=best, minimizers=minimizers)
+    return BottleneckResult(phi_star=best, minimizers=minimizers)
 
 
 @dataclass

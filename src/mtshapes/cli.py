@@ -285,7 +285,6 @@ def cmd_exact(args) -> int:
 def cmd_sample_uniform(args) -> int:
     result = run_chains(
         args.n,
-        "mh-uniform",
         n_chains=args.chains,
         n_steps=args.steps,
         seed=args.seed,
@@ -293,13 +292,7 @@ def cmd_sample_uniform(args) -> int:
         threads=args.threads,
     )
     # The chains send back canonical text; no shape is rebuilt here.
-    for chain_id, chain in enumerate(result.lines):
-        for idx, line in enumerate(chain):
-            if args.jsonl:
-                line = json.dumps(
-                    {"chain": chain_id, "step": (idx + 1) * args.thin, "shape": line}
-                )
-            _emit(line)
+    sys.stdout.writelines(line + "\n" for chain in result.lines for line in chain)
     rates = " ".join(f"{r:.4f}" for r in result.acceptance_rates)
     print(f"acceptance rates: {rates}", file=sys.stderr)
     return 0
@@ -450,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--jsonl", action="store_true")
     p.set_defaults(func=cmd_sample_uniform)
 
     p = sub.add_parser(

@@ -278,6 +278,8 @@ def string_to_dmatrix(t, l) -> np.ndarray:
 
 
 def _dmatrix(shape: TreeShape) -> np.ndarray:
+    if shape.n_tips >= 2**63:  # every entry is at most n, and entries are int64
+        raise ValueError(f"int64 F-matrix entries need n < 2**63, got {shape.n_tips}")
     t, l = shape.t, shape.l
     k = len(t)
     marks = np.zeros((k, k), dtype=np.int64)

@@ -99,7 +99,7 @@ def mh5_frequencies():
 @pytest.fixture(scope="module")
 def uniform20():
     """19 chains x 200*N steps of uniform MH sampling at N=20."""
-    return run_chains(20, "mh-uniform", n_chains=19, n_steps=4000, seed=2024)
+    return run_chains(20, n_chains=19, n_steps=4000, seed=2024)
 
 
 def test_c01_enumeration_cells():

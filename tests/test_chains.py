@@ -303,9 +303,11 @@ class TestNeighborhoodProperties:
 
 
 # sha256 over each chain's to_text lines joined by newlines, each chain
-# followed by "\n--\n", then repr(acceptance_rates), for
-# run_chains(n, sampler, n_chains=3, n_steps=400, seed=2506).  Any change
-# here alters the seeded stream and belongs in CHANGES.md.
+# followed by "\n--\n", then repr(acceptance_rates), for 3 chains of 400
+# steps from seed 2506: run_chains(n, ...) for the MH chain, and
+# ``replay`` of run_chains's per-chain loop for the symmetric chain and
+# the walk.  Any change here alters the seeded stream and belongs in
+# CHANGES.md.
 GOLDEN_STREAMS = {
     ("mh-uniform", 5): "90410b1fd694f7154621154840add3f6eddc2549de4a104c8eaf7b5f8412ef1e",
     ("mh-uniform", 20): "31fb7e0bd39ad2f1fd53b09f559f4d8c9af88c44604494bad56f09af5278cb8f",
@@ -319,14 +321,38 @@ GOLDEN_STREAMS = {
 }
 
 
-@pytest.mark.parametrize("sampler, n", list(GOLDEN_STREAMS))
-def test_seeded_stream_is_pinned(sampler, n):
-    r = run_chains(n, sampler, n_chains=3, n_steps=400, seed=2506)
+MH_STREAMS = [key for key in GOLDEN_STREAMS if key[0] == "mh-uniform"]
+REPLAYED = {"symmetric": step_symmetric, "random-walk": step_random_walk}
+
+
+def replay(stepper, n, *, n_chains=3, n_steps=400, seed=2506):
+    """``run_chains``'s per-chain loop with ``stepper`` in place of the MH
+    step: chain i starts semi-random with (i mod (N-1)) + 1 internal
+    nodes from its own spawned stream, and every state is kept."""
+    lines, rates = [], []
+    for i, seq in enumerate(np.random.SeedSequence(seed).spawn(n_chains)):
+        rng = np.random.Generator(np.random.PCG64(seq))
+        state = ChainState(semi_random_init(n, (i % (n - 1)) + 1, rng))
+        lines.append([stepper(state, rng).shape.to_text() for _ in range(n_steps)])
+        rates.append(state.acceptance_rate)
+    return chains.RunResult(lines, rates)
+
+
+def stream_digest(r):
     h = hashlib.sha256()
     for chain in r.samples:
         h.update(("\n".join(s.to_text() for s in chain) + "\n--\n").encode())
     h.update(repr(r.acceptance_rates).encode())
-    assert h.hexdigest() == GOLDEN_STREAMS[sampler, n]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("sampler, n", list(GOLDEN_STREAMS))
+def test_seeded_stream_is_pinned(sampler, n):
+    if sampler == "mh-uniform":
+        r = run_chains(n, n_chains=3, n_steps=400, seed=2506)
+    else:
+        r = replay(REPLAYED[sampler], n)
+    assert stream_digest(r) == GOLDEN_STREAMS[sampler, n]
 
 
 @pytest.fixture
@@ -357,37 +383,24 @@ def no_pool(monkeypatch):
 )
 class TestWorkerProcesses:
     @pytest.mark.parametrize("threads", [2, 5], ids=["threads-2", "threads-over-chains"])
-    @pytest.mark.parametrize("sampler, n", list(GOLDEN_STREAMS))
+    @pytest.mark.parametrize("sampler, n", MH_STREAMS)
     def test_pinned_stream_reproduced(self, sampler, n, threads, pool_starts):
-        r = run_chains(n, sampler, n_chains=3, n_steps=400, seed=2506, threads=threads)
-        h = hashlib.sha256()
-        for chain in r.samples:
-            h.update(("\n".join(s.to_text() for s in chain) + "\n--\n").encode())
-        h.update(repr(r.acceptance_rates).encode())
-        assert h.hexdigest() == GOLDEN_STREAMS[sampler, n]
+        r = run_chains(n, n_chains=3, n_steps=400, seed=2506, threads=threads)
+        assert stream_digest(r) == GOLDEN_STREAMS[sampler, n]
         assert pool_starts == ["fork"]
 
-    @pytest.mark.parametrize("sampler", list(chains._STEPPERS))
-    def test_result_equals_serial(self, sampler, pool_starts):
-        # symmetric and random-walk chains make no MH proposal, so their
-        # rates are NaN, each a new float once pickled back from a worker
+    def test_result_equals_serial(self, pool_starts):
         kw = dict(n_chains=3, n_steps=120, seed=41, thin=2)
-        forked = run_chains(20, sampler, threads=2, **kw)
+        forked = run_chains(20, threads=2, **kw)
         assert pool_starts == ["fork"]
-        serial = run_chains(20, sampler, threads=1, **kw)
+        serial = run_chains(20, threads=1, **kw)
         assert forked == serial
         assert repr(forked.acceptance_rates) == repr(serial.acceptance_rates)
-        assert forked != run_chains(20, sampler, threads=1, **(kw | {"seed": 42}))
-
-    def test_result_equality_counts_nan_rates_equal(self):
-        result = chains.RunResult([["0|4", "0,1|2,2"]], [float("nan")])
-        assert result == chains.RunResult([["0|4", "0,1|2,2"]], [float("nan")])
-        assert result != chains.RunResult([["0|4", "0,1|1,3"]], [float("nan")])
-        assert result != chains.RunResult([["0|4", "0,1|2,2"]], [0.5])
+        assert forked != run_chains(20, threads=1, **(kw | {"seed": 42}))
 
     def test_worker_error_reaches_caller(self, pool_starts):
         with pytest.raises(ValueError, match=r"^shape has no neighbors \(single-shape space\)$"):
-            run_chains(2, "symmetric", n_chains=2, n_steps=1, seed=0, threads=2)
+            run_chains(2, n_chains=2, n_steps=1, seed=0, threads=2)
         assert pool_starts == ["fork"]
 
 
@@ -543,6 +556,17 @@ class TestSemiRandom:
                 route(1, 1, rng)
         assert rng.bit_generator.state == rng_from(0).bit_generator.state
 
+    def test_n_must_fit_int64(self):
+        # s_j = d_j + j reaches n + k - 1 < 2n, which int64 holds up to n = 2**62
+        rng = rng_from(0)
+        for n, k in [(2**62 + 1, 2), (2**63 - 1, 2), (2**63, 1), (2**64, 3)]:
+            with pytest.raises(ValueError, match=rf"^n must be <= 2\*\*62, got {n}$"):
+                semi_random_init(n, k, rng)
+        assert rng.bit_generator.state == rng_from(0).bit_generator.state
+        for k in (1, 2, 5):
+            s = semi_random_init(2**62, k, rng)
+            assert s.n_internal == k and validate_string(s.t, s.l, n=2**62) is None
+
     def test_every_diagonal_to_n12_matches_matrix_route(self):
         seen = 0
         for n in range(2, 13):
@@ -590,21 +614,17 @@ class TestSemiRandom:
 class TestRunChains:
     def test_deterministic_and_thread_invariant(self):
         kw = dict(n_chains=4, n_steps=150, seed=99)
-        a = run_chains(7, "mh-uniform", **kw)
-        b = run_chains(7, "mh-uniform", **kw)
-        c = run_chains(7, "mh-uniform", threads=4, **kw)
+        a = run_chains(7, **kw)
+        b = run_chains(7, **kw)
+        c = run_chains(7, threads=4, **kw)
         assert a.samples == b.samples == c.samples
         assert a.acceptance_rates == c.acceptance_rates
 
     def test_chain_i_starts_semi_random_with_k_cycling(self):
-        # the start and steps of chain i, replayed by hand from its stream
-        n, n_chains, seed = 5, 6, 12
-        r = run_chains(n, "symmetric", n_chains=n_chains, n_steps=3, seed=seed)
-        for i, seq in enumerate(np.random.SeedSequence(seed).spawn(n_chains)):
-            rng = np.random.Generator(np.random.PCG64(seq))
-            state = ChainState(semi_random_init(n, (i % (n - 1)) + 1, rng))
-            path = [step_symmetric(state, rng).shape for _ in range(3)]
-            assert r.samples[i] == path
+        # the start and steps of chain i, replayed from its stream; this
+        # also ties ``replay`` to run_chains's loop
+        kw = dict(n_chains=6, n_steps=40, seed=12)
+        assert run_chains(5, **kw) == replay(step_mh_uniform, 5, **kw)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_must_be_positive(self, threads):
@@ -618,7 +638,7 @@ class TestRunChains:
             run_chains(5, seed=0, **kw)
 
     def test_lines_decode_to_samples(self):
-        r = run_chains(9, "mh-uniform", n_chains=3, n_steps=60, seed=8, thin=3)
+        r = run_chains(9, n_chains=3, n_steps=60, seed=8, thin=3)
         assert r.samples is r.samples
         assert r.lines == [[s.to_text() for s in chain] for chain in r.samples]
         for line, s in zip([x for chain in r.lines for x in chain], r.pooled()):
@@ -627,28 +647,22 @@ class TestRunChains:
             assert {type(x) for x in s.t + s.l} == {int}
 
     def test_pooled_size_with_thinning(self):
-        r = run_chains(6, "random-walk", n_chains=3, n_steps=100, seed=1, thin=10)
+        r = run_chains(6, n_chains=3, n_steps=100, seed=1, thin=10)
         assert [len(s) for s in r.samples] == [10, 10, 10]
         assert len(r.pooled()) == 30
 
     def test_semi_random_init_cycles_k(self):
-        r = run_chains(6, "random-walk", n_chains=5, n_steps=1, seed=5)
+        r = run_chains(6, n_chains=5, n_steps=1, seed=5)
         assert len(r.samples) == 5
 
     def test_acceptance_rates_only_for_mh(self):
-        r = run_chains(6, "random-walk", n_chains=2, n_steps=10, seed=3)
-        assert all(math.isnan(x) for x in r.acceptance_rates)
-        r = run_chains(6, "mh-uniform", n_chains=2, n_steps=50, seed=3)
+        r = run_chains(6, n_chains=2, n_steps=50, seed=3)
         assert all(0 <= x <= 1 for x in r.acceptance_rates)
-
-    def test_bad_sampler(self):
-        with pytest.raises(ValueError):
-            run_chains(6, "bogus", n_chains=1, n_steps=1, seed=0)
 
     @pytest.mark.parametrize("n", [1, 0, -2])
     def test_too_few_tips(self, n):
         with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
-            run_chains(n, "mh-uniform", n_chains=2, n_steps=1, seed=0)
+            run_chains(n, n_chains=2, n_steps=1, seed=0)
 
 
 def dense_kernel(graph, kind, lazy):

@@ -281,8 +281,6 @@ class TestBoundsAndExact:
 UNIFORM_DIGESTS = {
     ("--n", "20", "--chains", "19", "--steps", "1000", "--thin", "2", "--seed", "1234"):
         "f159243d26d30b3180b1d4930024db027e6c942755761df9fe472f38bf37b961",
-    ("--n", "7", "--chains", "5", "--steps", "500", "--seed", "3", "--jsonl"):
-        "d5ae53e6fe36676a58a68bad0c33df9a56e5c9631435299e6dbfe2a6e9a1c1e1",
 }
 
 
@@ -323,17 +321,16 @@ def samples_unread(monkeypatch):
 
 class TestSampling:
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("args", list(UNIFORM_DIGESTS), ids=["text-n20", "jsonl-n7"])
+    @pytest.mark.parametrize("args", list(UNIFORM_DIGESTS), ids=["text-n20"])
     def test_uniform_stdout_is_pinned(self, capsys, samples_unread, args, threads):
         code, out, err = run_cli(capsys, "sample-uniform", *args, "--threads", threads)
         assert code == 0 and err.startswith("acceptance rates: ")
         assert hashlib.sha256(out.encode()).hexdigest() == UNIFORM_DIGESTS[args]
 
-    @pytest.mark.parametrize("fmt", [(), ("--jsonl",)], ids=["text", "jsonl"])
-    def test_uniform_fewer_steps_than_thin_writes_nothing(self, capsys, fmt):
+    def test_uniform_fewer_steps_than_thin_writes_nothing(self, capsys):
         code, out, _ = run_cli(
             capsys, "sample-uniform", "--n", "7", "--chains", "3", "--steps", "2",
-            "--thin", "5", "--seed", "3", *fmt,
+            "--thin", "5", "--seed", "3",
         )
         assert (code, out) == (0, "")
 
@@ -353,16 +350,6 @@ class TestSampling:
         serial = run_cli(capsys, *args)
         assert serial[0] == 0 and serial[2].startswith("acceptance rates: ")
         assert run_cli(capsys, *args, "--threads", "2") == serial
-
-    def test_uniform_jsonl(self, capsys):
-        _, out, _ = run_cli(
-            capsys,
-            "sample-uniform", "--n", "5", "--chains", "1", "--steps", "4",
-            "--thin", "2", "--seed", "0", "--jsonl",
-        )
-        records = [json.loads(ln) for ln in out.strip().splitlines()]
-        assert [r["step"] for r in records] == [2, 4]
-        assert all(r["chain"] == 0 for r in records)
 
     @pytest.mark.parametrize(
         "args", list(COALESCENT_DIGESTS), ids=["n20", "n100-alpha0.5", "n3"]
@@ -599,7 +586,7 @@ OPTION_CENSUS = {
     "bounds": ("--n", "--exact", "--json"),
     "exact": ("--n", "--chain", "--lazy", "--json"),
     "sample-uniform": (
-        "--n", "--chains", "--steps", "--thin", "--seed", "--threads", "--jsonl",
+        "--n", "--chains", "--steps", "--thin", "--seed", "--threads",
     ),
     "sample-coalescent": ("--n", "--alpha", "--count", "--seed"),
     "semi-random": ("--n", "--k", "--count", "--seed"),
@@ -622,7 +609,7 @@ def test_option_census():
     census = {None: _options(parser)}
     census.update((name, _options(p)) for name, p in sub.choices.items())
     assert census == OPTION_CENSUS
-    assert sum(map(len, census.values())) == 42
+    assert sum(map(len, census.values())) == 41
 
 
 @pytest.mark.parametrize(
@@ -643,11 +630,19 @@ def test_option_census():
         ["stats", "--in", "{tmp}/shapes.txt", "--max-cherry", "0"],
         ["stats", "--in", "{tmp}/shapes.txt", "--max-cherry", "-3"],
         ["stats", "--in", "{tmp}/shapes.txt", "--max-cherry", "1001"],
+        ["convert", "--tree", f"0,1|{2**62},{2**62}", "--to", "fmatrix"],
+        ["lub", "--a", f"0,1|{2**62},{2**62}", "--b", f"0,1|{2**62 - 1},{2**62 + 1}"],
+        ["distance", "--a", f"0,1|{2**62},{2**62}", "--b", f"0|{2**63}"],
+        ["semi-random", "--n", str(2**63 - 1), "--k", "2", "--seed", "1"],
+        ["semi-random", "--n", str(2**63), "--seed", "1"],
+        ["sample-uniform", "--n", str(2**63), "--chains", "1", "--steps", "1", "--seed", "1"],
     ],
     ids=[
         "stats-missing-file", "hasse-missing-dir", "lub-directory", "hasse-n10",
         "bounds-n10-exact", "bounds-past-count-cap", "threads-0", "threads-negative", "alpha-inf",
         "max-cherry-0", "max-cherry-negative", "max-cherry-past-cap",
+        "fmatrix-past-int64", "lub-past-int64", "distance-past-int64",
+        "semi-random-wraps-int64", "semi-random-past-int64", "sample-uniform-past-int64",
     ],
 )
 def test_error_contract(capsys, tmp_path, argv):

@@ -72,8 +72,8 @@ CENSUS = {
         "GapResult": PKG + "chains.py",
         "BoundReport": PKG + "chains.py",
         "random_below": PKG + "chains.py",
-        "step_symmetric": PKG + "chains.py",
-        "step_random_walk": PKG + "chains.py",
+        "step_symmetric": "demos/04_chains.py",
+        "step_random_walk": "demos/04_chains.py",
         "step_mh_uniform": PKG + "chains.py",
         "semi_random_init": "perfbench/workloads.py",
         "run_chains": PKG + "cli.py",

@@ -21,6 +21,8 @@ from mtshapes import (
     collapse_edge,
     collapse_edge_fmatrix,
     generate_all,
+    lattice_distance,
+    lub,
     present_edges,
     string_to_dmatrix,
     validate_fmatrix,
@@ -370,6 +372,23 @@ class TestConversions:
         with pytest.raises(InvalidShapeError) as exc:
             convert(t, l)
         assert exc.value.constraint == rule
+
+    def test_entries_must_fit_int64(self):
+        # every D- and F-matrix entry is at most N, so N < 2**63 is exact
+        top = TreeShape((0, 1), (2**62 - 1, 2**62))
+        assert top.fmatrix().tolist() == [[2**62, 0], [2**62 - 1, 2**63 - 1]]
+        a = TreeShape((0, 1), (2**62, 2**62))
+        b = TreeShape((0, 1), (2**62 - 1, 2**62 + 1))
+        routes = [
+            a.fmatrix,
+            lambda: string_to_dmatrix(a.t, a.l),
+            lambda: string_to_fmatrix(a.t, a.l),
+            lambda: lub(a, b),
+            lambda: lattice_distance(a, TreeShape((0,), (2**63,))),
+        ]
+        for route in routes:
+            with pytest.raises(ValueError, match=r"^int64 F-matrix entries need n < 2\*\*63, got 9223372036854775808$"):
+                route()
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_dmatrix_invariants(self, n):

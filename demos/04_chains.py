@@ -5,8 +5,10 @@ uniform stationary law) and the simple random walk (stationary law
 proportional to degree).  For 4- and 5-tip spaces the script checks
 stationarity exactly, enumerates every subset for the bottleneck ratio,
 computes spectral gaps of the lazy kernels, and verifies the Cheeger
-sandwich; it then compares both chains' visit frequencies at N = 5
-with their stationary laws and ends with the bound formulas up to N = 20.
+sandwich; it then compares the visit frequencies of both chains and of
+the Metropolis-Hastings chain (the walk as proposal, uniform target) at
+N = 5 with their stationary laws, and ends with the bound formulas up
+to N = 20.
 """
 
 import numpy as np
@@ -19,7 +21,13 @@ from mtshapes import (
     mixing_bounds,
     stationary_distribution,
 )
-from mtshapes.chains import ChainState, semi_random_init, step_random_walk, step_symmetric
+from mtshapes.chains import (
+    ChainState,
+    semi_random_init,
+    step_mh_uniform,
+    step_random_walk,
+    step_symmetric,
+)
 
 for n in (4, 5):
     g = build_hasse(n)
@@ -48,13 +56,17 @@ for n in (4, 5):
 
 print("visit frequencies over 20000 steps at N = 5, from a semi-random start:")
 rng = np.random.Generator(np.random.PCG64(5))
-for kind, step in (("symmetric", step_symmetric), ("random-walk", step_random_walk)):
+for name, step, law in (
+    ("symmetric", step_symmetric, stationary_distribution(g, "symmetric")),
+    ("random-walk", step_random_walk, stationary_distribution(g, "random-walk")),
+    ("mh-uniform", step_mh_uniform, np.full(g.n_vertices, 1 / g.n_vertices)),
+):
     state = ChainState(semi_random_init(5, 2, rng))
     visits = np.zeros(g.n_vertices)
     for _ in range(20_000):
         visits[g.index[step(state, rng).shape]] += 1
-    tv = 0.5 * np.abs(visits / visits.sum() - stationary_distribution(g, kind)).sum()
-    print(f"  {kind}: total-variation distance to the stationary law {tv:.4f}")
+    tv = 0.5 * np.abs(visits / visits.sum() - law).sum()
+    print(f"  {name}: total-variation distance to the stationary law {tv:.4f}")
 
 print("\nmixing-time bound formulas (lower bounds non-lazy, upper bounds lazy):")
 print(f" {'N':>2} | {'M_N':>6} | {'shapes':>14} | {'sym lower':>10} | {'sym upper':>12} | {'walk lower':>10} | {'walk upper':>10}")

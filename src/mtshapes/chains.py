@@ -12,10 +12,19 @@ single uniform integer below the degree is unranked into either a
 collapse or one concrete node split.  A chain keeps its current
 ``Neighborhood`` and moves by patching it (``Neighborhood.move``), so
 after its first step it never rebuilds one from scratch, and the
-proposal's degree costs O(1).  Draws read the bit generator directly
-through its ctypes interface, under its lock: each rank word and each
+proposal's degree costs O(1).
+
+Draws take one of two paths to one stream.  The public steppers read
+the caller's bit generator through its ctypes interface, under its
+lock, since a caller may share the Generator: each rank word and each
 MH uniform is the value ``rng.integers(0, 2**32, dtype=np.uint64)`` or
-``rng.random()`` would return, so the seeded stream is the Generator's.
+``rng.random()`` would return.  ``run_chains`` owns each chain's PCG64
+and reads it in ``random_raw`` blocks through ``_RawDraws``, which
+serves the same words and doubles without a call into the generator
+per draw.  Both paths feed ``_below`` and ``_mh_move``, so a chain's
+output is the same either way; ``tests/test_chains.py`` pins it
+(``GOLDEN_STREAMS``, through both paths) and compares the two readers
+draw by draw.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -55,11 +64,19 @@ __all__ = [
     "exact_bottleneck",
     "exact_gap",
     "mixing_bounds",
+    "MAX_CHAIN_TIPS",
     "MAX_KERNEL_BYTES",
     "MAX_BOTTLENECK_VERTICES",
 ]
 
 KINDS = ("symmetric", "random-walk")
+
+# Largest N that run_chains (and so ``mtshapes sample-uniform``) accepts.
+# A step copies O(K) tuples, draws a rank of up to about K bits and writes
+# an O(K)-character line.  On a 2-vCPU Xeon under CPython 3.11 a step took
+# 0.2 to 2 ms at N = 10**4 (K = 1 to N - 1), 1 to 23 ms at N = 10**5, and
+# about 0.2 s at N = 10**6 with K = 1.
+MAX_CHAIN_TIPS = 10_000
 
 # The exact paths hold dense V x V float64 kernels and run an O(V^3)
 # eigensolve.  N = 8 (1108 shapes, 9.8 MB) fits; N = 9 (6092 shapes,
@@ -101,17 +118,17 @@ def random_below(rng: np.random.Generator, n: int) -> int:
     bitgen = rng.bit_generator
     c = bitgen.ctypes
     with bitgen.lock:
-        return _below(c.next_uint32, c.state, n)
+        return _below(partial(c.next_uint32, c.state), n)
 
 
-def _below(word, state, n: int) -> int:
-    """Uniform integer in [0, n), n >= 1, from 32-bit words ``word(state)``.
+def _below(word, n: int) -> int:
+    """Uniform integer in [0, n), n >= 1, from 32-bit words ``word()``.
 
     The top bits of ceil(bits(n) / 32) words, rejected until below n.
-    Read through the bit generator's ctypes interface, each word is the
-    value ``rng.integers(0, 2**32, dtype=np.uint64)`` would return, so
-    the stream is that of the Generator calls without their overhead.
-    n == 1 draws nothing.
+    Each word is the value ``rng.integers(0, 2**32, dtype=np.uint64)``
+    would return, whether read through the bit generator's ctypes
+    interface or through ``_RawDraws``, so the stream is that of the
+    Generator calls without their overhead.  n == 1 draws nothing.
     """
     if n == 1:
         return 0
@@ -119,12 +136,59 @@ def _below(word, state, n: int) -> int:
     words = (bits + 31) // 32
     shift = words * 32 - bits
     while True:
-        r = word(state)
+        r = word()
         for _ in range(words - 1):
-            r = (r << 32) | word(state)
+            r = (r << 32) | word()
         r >>= shift
         if r < n:
             return r
+
+
+# Raw 64-bit outputs read per random_raw call.
+_RAW_BLOCK = 1024
+
+
+class _RawDraws:
+    """The 32-bit words and doubles that a PCG64's ctypes ``next_uint32``
+    and ``next_double`` would return, read from ``random_raw`` blocks.
+
+    ``next_uint32`` serves the low half of a 64-bit output and buffers
+    the high half for the next word; ``next_double`` takes the top 53
+    bits of a fresh output and leaves that buffer alone.  The buffer
+    starts from the generator's own (``has_uint32``, ``uinteger``).
+    Each block moves the generator up to ``_RAW_BLOCK`` outputs past
+    what the reader has served, so once a reader is made, only it may
+    draw from that generator.
+    """
+
+    __slots__ = ("_raw", "_outputs", "_half")
+
+    def __init__(self, bitgen: np.random.BitGenerator):
+        if type(bitgen) is not np.random.PCG64:
+            raise TypeError(f"expected a PCG64 bit generator, got {type(bitgen).__name__}")
+        state = bitgen.state
+        self._raw = bitgen.random_raw
+        self._outputs = iter(())
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _next64(self) -> int:
+        x = next(self._outputs, None)
+        if x is None:
+            self._outputs = iter(self._raw(_RAW_BLOCK).tolist())
+            x = next(self._outputs)
+        return x
+
+    def uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        x = self._next64()
+        self._half = x >> 32
+        return x & 0xFFFFFFFF
+
+    def double(self) -> float:
+        return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
 
 
 def step_symmetric(state: ChainState, rng: np.random.Generator) -> ChainState:
@@ -158,14 +222,20 @@ def step_mh_uniform(state: ChainState, rng: np.random.Generator) -> ChainState:
     bitgen = rng.bit_generator
     c = bitgen.ctypes
     with bitgen.lock:
-        r = _below(c.next_uint32, c.state, here.degree)
+        r = _below(partial(c.next_uint32, c.state), here.degree)
         u = c.next_double(c.state)
+    _mh_move(state, here, r, u)
+    return state
+
+
+def _mh_move(state: ChainState, here: Neighborhood, r: int, u: float) -> None:
+    """Propose the ``r``-th neighbor of ``here`` (the current shape's
+    neighborhood) and accept it when ``u`` passes the MH test."""
     there = here.move(r)
     state.proposed += 1
     if _accepts(u, here.degree, there.degree):
         state.shape, state.cached = there.shape, there
         state.accepted += 1
-    return state
 
 
 def _accepts(u: float, deg: int, deg_p: int) -> bool:
@@ -235,11 +305,16 @@ class RunResult:
 
 
 def _run_one_chain(n, n_steps, thin, k, seed_seq):
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    state = ChainState(semi_random_init(n, k, rng))
+    # The chain owns its generator, so it reads the stream in raw blocks;
+    # the output is that of stepping step_mh_uniform on the Generator.
+    bitgen = np.random.PCG64(seed_seq)
+    state = ChainState(semi_random_init(n, k, np.random.Generator(bitgen)))
+    draws = _RawDraws(bitgen)
+    word, double = draws.uint32, draws.double
     out = []
     for s in range(1, n_steps + 1):
-        step_mh_uniform(state, rng)
+        here = state.neighborhood()
+        _mh_move(state, here, _below(word, here.degree), double())
         if s % thin == 0:
             out.append(state.shape.to_text())
     return out, state.acceptance_rate
@@ -260,8 +335,9 @@ def run_chains(
     thin: int = 1,
     threads: int = 1,
 ) -> RunResult:
-    """Run independent MH chains (``step_mh_uniform``) on RNG streams spawned
-    from one seed; the output is identical however they are scheduled.
+    """Run independent MH chains on RNG streams spawned from one seed; the
+    output is identical however they are scheduled, and each chain's is
+    what ``step_mh_uniform`` would give stepped on that stream.
 
     Chain i starts at a semi-random shape with (i mod (N-1)) + 1 internal
     nodes, drawn from that chain's own stream.  To start from a chosen
@@ -269,10 +345,13 @@ def run_chains(
 
     ``threads`` runs the chains in up to min(threads, n_chains, usable
     CPUs) forked worker processes, with output identical to a serial run.
-    Where fork is unavailable, the chains run serially.
+    Where fork is unavailable, the chains run serially.  An ``n`` past
+    ``MAX_CHAIN_TIPS`` is refused before any chain starts.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    if n > MAX_CHAIN_TIPS:
+        raise ValueError(f"n must be <= MAX_CHAIN_TIPS = {MAX_CHAIN_TIPS}, got {n}")
     if n_chains < 1 or n_steps < 1 or thin < 1:
         raise ValueError("n_chains, n_steps and thin must be positive")
     if threads < 1:

@@ -170,9 +170,39 @@ def count_labeled_binary(n: int) -> int:
     return math.factorial(n) * math.factorial(n - 1) // 2 ** (n - 1)
 
 
-def _t_vectors(k: int) -> Iterator[tuple[int, ...]]:
-    for rest in itertools.product(*(range(1, i) for i in range(2, k + 1))):
-        yield (0,) + rest
+def _t_vectors(k: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The parent vectors of length ``k`` whose nodes fit in ``n`` tips,
+    in lexicographic order.
+
+    A node with c internal children needs max(0, 2 - c) leaves.  Prefixes
+    grow one entry at a time: entry i + 1 adds node i + 1, which needs 2,
+    and lowers its parent's need by one while that parent has fewer than
+    two children.  So each later entry adds at least one to the need, and
+    a prefix of length i needs at least its own need plus k - i leaves,
+    which hanging each later node off the one before attains.  A prefix
+    past ``n`` by that bound is dropped, and every kept one completes.
+    """
+    t = [0]
+    kids = [0] * (k + 1)  # internal children per node rank, 1-based
+
+    def extend(need: int) -> Iterator[tuple[int, ...]]:
+        i = len(t)
+        if i == k:
+            yield tuple(t)
+            return
+        room = n - (k - i - 1)  # most a prefix of length i + 1 may need
+        for p in range(1, i + 1):
+            after = need + 1 + (kids[p] >= 2)
+            if after > room:
+                continue
+            kids[p] += 1
+            t.append(p)
+            yield from extend(after)
+            t.pop()
+            kids[p] -= 1
+
+    if k + 1 <= n:
+        yield from extend(2)
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -212,10 +242,7 @@ def generate_all(n: int, k: int | None = None) -> Iterator[TreeShape]:
         )
     compositions = functools.cache(_compositions)  # this call's table, keyed by (spare, K)
     for kk in ks:
-        for t in _t_vectors(kk):
+        for t in _t_vectors(kk, n):
             mins = _min_leaves(t)
-            spare = n - sum(mins)
-            if spare < 0:
-                continue
-            for extra in compositions(spare, kk):
+            for extra in compositions(n - sum(mins), kk):
                 yield TreeShape._trusted(t, tuple(map(operator.add, mins, extra)))

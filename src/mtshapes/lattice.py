@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -82,12 +83,17 @@ def _memo_split_count(profile: tuple[int, int]) -> int:
 
 
 def _refined(shape: TreeShape, node: int, moved, leaves: int) -> TreeShape:
-    # Split ``node``: rank node + 1 is a new node holding ``moved`` and ``leaves`` leaves.
+    # Split ``node``: rank node + 1 is a new node holding ``moved`` (a set
+    # of internal children, or None when it takes none) and ``leaves`` leaves.
     t, l = shape.t, shape.l
-    new_t = t[:node] + (node,) + tuple(
-        node + 1 if c in moved else (p if p <= node else p + 1)
-        for c, p in enumerate(t[node:], start=node + 1)
-    )
+    if moved:
+        rest = [
+            node + 1 if c in moved else (p if p <= node else p + 1)
+            for c, p in enumerate(t[node:], start=node + 1)
+        ]
+    else:
+        rest = [p if p <= node else p + 1 for p in t[node:]]
+    new_t = t[:node] + (node,) + tuple(rest)
     new_l = l[: node - 1] + (l[node - 1] - leaves, leaves) + l[node:]
     return TreeShape._trusted(new_t, new_l)
 
@@ -182,14 +188,15 @@ class Neighborhood:
         # move up one rank.  Edge v now exists, edge v + 1 when old node
         # v + 1 moved, and each later edge moves up one rank.
         edges, profile, splits = self.edges, self.profile, self.splits
-        for v, w in enumerate(splits, start=1):
-            if rank < w:
-                break
-            rank -= w
+        ends = list(accumulate(splits, initial=0))
+        v = bisect_right(ends, rank)  # node v holds ranks ends[v - 1] .. ends[v] - 1
+        rank -= ends[v - 1]
         k, l = profile[v - 1]
         m, j, rank = _unrank_split(k, l, rank)
-        children = _children(self.shape.t, v, k) if m else []
-        moved = frozenset(_unrank_combination(children, m, rank))
+        moved = None
+        if m:
+            moved = frozenset(_unrank_combination(_children(self.shape.t, v, k), m, rank))
+        grown = moved is not None and v + 1 in moved
         i = bisect_left(edges, v)
         had = i < len(edges) and edges[i] == v
         lower, upper = (k - m + 1, l - j), (m, j)
@@ -197,11 +204,11 @@ class Neighborhood:
         return self._patched(
             _refined(self.shape, v, moved, j),
             edges[:i]
-            + ((v, v + 1) if v + 1 in moved else (v,))
-            + tuple(x + 1 for x in edges[i + had :]),
+            + ((v, v + 1) if grown else (v,))
+            + tuple([x + 1 for x in edges[i + had :]]),
             profile[: v - 1] + (lower, upper) + profile[v:],
             splits[: v - 1] + (s_low, s_up) + splits[v:],
-            self.degree + 1 - had + (v + 1 in moved) - splits[v - 1] + s_low + s_up,
+            self.degree + 1 - had + grown - splits[v - 1] + s_low + s_up,
         )
 
     def _collapse(self, rank: int) -> "Neighborhood":
@@ -221,7 +228,7 @@ class Neighborhood:
         keep = e + 1 < len(t) and t[e + 1] >= e
         return self._patched(
             collapse_edge(self.shape, e),
-            edges[:rank] + ((e,) if keep else ()) + tuple(x - 1 for x in edges[after:]),
+            edges[:rank] + ((e,) if keep else ()) + tuple([x - 1 for x in edges[after:]]),
             profile[: e - 1] + (merged,) + profile[e + 1 :],
             splits[: e - 1] + (s,) + splits[e + 1 :],
             self.degree - (after - rank) + keep - splits[e - 1] - splits[e] + s,

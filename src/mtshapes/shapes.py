@@ -341,10 +341,6 @@ class _Decimals(dict):
 _decimal = _Decimals().__getitem__
 
 
-# Sets a field of a frozen TreeShape; bound once, as each chain move builds one.
-_set_field = object.__setattr__
-
-
 @dataclass(frozen=True, slots=True, order=True)
 class TreeShape:
     """Immutable canonical value for a ranked multifurcating tree shape.
@@ -363,9 +359,9 @@ class TreeShape:
         bad = validate_string(t, l)
         if bad is not None:
             raise InvalidShapeError(bad, f"t={t}, l={l}")
-        _set_field(self, "n_internal", len(t))
-        _set_field(self, "t", t)
-        _set_field(self, "l", l)
+        _set_k(self, len(t))
+        _set_t(self, t)
+        _set_l(self, l)
 
     @classmethod
     def _trusted(cls, t: tuple[int, ...], l: tuple[int, ...]) -> "TreeShape":
@@ -375,9 +371,9 @@ class TreeShape:
         a reader instead; ``tests/test_construction_guard.py`` keeps every
         module but this one off the validating constructor."""
         shape = object.__new__(cls)
-        _set_field(shape, "n_internal", len(t))
-        _set_field(shape, "t", t)
-        _set_field(shape, "l", l)
+        _set_k(shape, len(t))
+        _set_t(shape, t)
+        _set_l(shape, l)
         return shape
 
     @property
@@ -425,6 +421,13 @@ class TreeShape:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+# The slot descriptors' setters fill a frozen TreeShape's fields, past the
+# frozen ``__setattr__`` and at about half the cost of ``object.__setattr__``.
+_set_k = TreeShape.__dict__["n_internal"].__set__
+_set_t = TreeShape.__dict__["t"].__set__
+_set_l = TreeShape.__dict__["l"].__set__
 
 
 def _parse_int_list(text: str, base: int) -> tuple[int, ...]:
@@ -475,7 +478,7 @@ def collapse_edge(shape: TreeShape, e: int) -> TreeShape:
     _require_edge(k, e)
     if t[e] != e:
         raise EdgeNotPresentError(f"edge ({e}, {e + 1}) not present")
-    new_t = t[:e] + tuple(v - 1 if v > e else v for v in t[e + 1 :])
+    new_t = t[:e] + tuple([v - 1 if v > e else v for v in t[e + 1 :]])
     new_l = l[: e - 1] + (l[e - 1] + l[e],) + l[e + 1 :]
     return TreeShape._trusted(new_t, new_l)
 

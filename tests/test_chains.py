@@ -213,6 +213,47 @@ class TestRandomBelow:
         assert a.random() == b.random()
 
 
+def buffered_after_choice(seed):
+    """A PCG64 right after ``choice`` calls, the last of which left the
+    upper half of a 64-bit output buffered (``has_uint32 == 1``)."""
+    bitgen = np.random.PCG64(seed)
+    rng = np.random.Generator(bitgen)
+    rng.choice(17, size=3, replace=False)
+    while not bitgen.state["has_uint32"]:
+        rng.choice(17, size=3, replace=False)
+    return bitgen
+
+
+class TestRawDraws:
+    """``_RawDraws`` serves, from ``random_raw`` blocks, the words and
+    doubles that the bit generator's ctypes interface would."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["half-buffered", "fresh"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_ctypes_on_a_twin(self, seed, buffered):
+        if buffered:
+            a, b = buffered_after_choice(seed), buffered_after_choice(seed)
+        else:
+            a, b = np.random.PCG64(seed), np.random.PCG64(seed)
+        assert a.state == b.state and a.state["has_uint32"] == buffered
+        draws, c = chains._RawDraws(a), b.ctypes
+        twin = np.random.Generator(b)
+        big = 3 * 2**70 + 1
+        # A random interleaving, long enough to cross two raw blocks.
+        for op in np.random.default_rng(seed).integers(0, 3, size=3 * chains._RAW_BLOCK):
+            if op == 0:
+                assert draws.uint32() == c.next_uint32(c.state)
+            elif op == 1:
+                assert draws.double() == c.next_double(c.state)
+            else:
+                assert chains._below(draws.uint32, big) == random_below(twin, big)
+
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.PCG64DXSM])
+    def test_other_bit_generators_refused(self, bitgen):
+        with pytest.raises(TypeError, match="^expected a PCG64 bit generator, got "):
+            chains._RawDraws(bitgen(0))
+
+
 class TestNeighborEnumeration:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_ranks_cover_all_neighbors_once(self, n):
@@ -353,6 +394,13 @@ def test_seeded_stream_is_pinned(sampler, n):
     else:
         r = replay(REPLAYED[sampler], n)
     assert stream_digest(r) == GOLDEN_STREAMS[sampler, n]
+
+
+@pytest.mark.parametrize("sampler, n", MH_STREAMS)
+def test_public_stepper_gives_the_pinned_stream(sampler, n):
+    # run_chains reads each chain's PCG64 in raw blocks; step_mh_uniform
+    # reads the caller's Generator through ctypes.  One stream either way.
+    assert stream_digest(replay(step_mh_uniform, n)) == GOLDEN_STREAMS[sampler, n]
 
 
 @pytest.fixture
@@ -663,6 +711,20 @@ class TestRunChains:
     def test_too_few_tips(self, n):
         with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
             run_chains(n, n_chains=2, n_steps=1, seed=0)
+
+    @pytest.mark.parametrize("n", [chains.MAX_CHAIN_TIPS + 1, 10**6, 2**62, 2**64])
+    def test_too_many_tips_refused_before_any_chain(self, n, monkeypatch):
+        def start(*args):
+            raise AssertionError("a chain started")
+
+        monkeypatch.setattr(chains, "semi_random_init", start)
+        cap = chains.MAX_CHAIN_TIPS
+        with pytest.raises(ValueError, match=f"^n must be <= MAX_CHAIN_TIPS = {cap}, got {n}$"):
+            run_chains(n, n_chains=2, n_steps=1, seed=0)
+
+    def test_cap_itself_runs(self):
+        r = run_chains(chains.MAX_CHAIN_TIPS, n_chains=1, n_steps=2, seed=0)
+        assert [s.n_tips for s in r.pooled()] == [chains.MAX_CHAIN_TIPS] * 2
 
 
 def dense_kernel(graph, kind, lazy):

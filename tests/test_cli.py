@@ -636,6 +636,7 @@ def test_option_census():
         ["semi-random", "--n", str(2**63 - 1), "--k", "2", "--seed", "1"],
         ["semi-random", "--n", str(2**63), "--seed", "1"],
         ["sample-uniform", "--n", str(2**63), "--chains", "1", "--steps", "1", "--seed", "1"],
+        ["sample-uniform", "--n", "10001", "--chains", "1", "--steps", "1", "--seed", "1"],
     ],
     ids=[
         "stats-missing-file", "hasse-missing-dir", "lub-directory", "hasse-n10",
@@ -643,6 +644,7 @@ def test_option_census():
         "max-cherry-0", "max-cherry-negative", "max-cherry-past-cap",
         "fmatrix-past-int64", "lub-past-int64", "distance-past-int64",
         "semi-random-wraps-int64", "semi-random-past-int64", "sample-uniform-past-int64",
+        "sample-uniform-past-chain-cap",
     ],
 )
 def test_error_contract(capsys, tmp_path, argv):

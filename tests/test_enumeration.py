@@ -395,6 +395,13 @@ class TestGenerateAll:
             assert validate_string(s.t, s.l, n) is None, s
             assert type(s.t) is tuple and type(s.l) is tuple
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_pruned_parent_vectors_are_the_fitting_ones(self, k):
+        # prefix pruning keeps, in order, the vectors whose nodes fit n tips
+        for n in range(2, 12):
+            fitting = [t for t in all_t_vectors(k) if sum(_min_leaves(t)) <= n]
+            assert list(enumeration._t_vectors(k, n)) == fitting
+
     def test_no_duplicates(self):
         shapes = list(generate_all(8))
         assert len(shapes) == len(set(shapes)) == count_space(8)

@@ -16,15 +16,15 @@ proposal's degree costs O(1).
 
 Draws take one of two paths to one stream.  The public steppers read
 the caller's bit generator through its ctypes interface, under its
-lock, since a caller may share the Generator: each rank word and each
-MH uniform is the value ``rng.integers(0, 2**32, dtype=np.uint64)`` or
-``rng.random()`` would return.  ``run_chains`` owns each chain's PCG64
-and reads it in ``random_raw`` blocks through ``_RawDraws``, which
-serves the same words and doubles without a call into the generator
-per draw.  Both paths feed ``_below`` and ``_mh_move``, so a chain's
-output is the same either way; ``tests/test_chains.py`` pins it
-(``GOLDEN_STREAMS``, through both paths) and compares the two readers
-draw by draw.
+lock, since a caller may share the Generator.  ``run_chains`` owns each
+chain's PCG64 and reads it in ``random_raw`` blocks through
+``_RawDraws``, which serves the same 32-bit words and doubles.  Both
+paths feed ``_below`` and ``_mh_move``; ``tests/test_chains.py`` pins
+the stream through both (``GOLDEN_STREAMS``) and compares the two
+readers draw by draw.  With P processes, ``run_chains`` gives each a
+static strided share of the chains (w, w + P, w + 2P, ...): share 0
+runs in the calling process, the others in P - 1 forked children, and
+the shares go back into chain order, so output never depends on P.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ class RunResult:
     """Thinned samples per chain, with per-chain acceptance rates.
 
     ``lines`` holds each chain's samples as canonical text (``to_text``),
-    made where the chain ran, so forked workers send back strings rather
+    made where the chain ran, so forked children send back strings rather
     than pickled shapes.  ``samples`` decodes them into shapes on first
     access and keeps them; equality compares the lines and the rates.
     """
@@ -320,6 +320,15 @@ def _run_one_chain(n, n_steps, thin, k, seed_seq):
     return out, state.acceptance_rate
 
 
+def _run_share(send, jobs):
+    # A forked child's chains, sent back as (True, results) or (False, exc).
+    with send:
+        try:
+            send.send((True, [_run_one_chain(*a) for a in jobs]))
+        except Exception as exc:
+            send.send((False, exc))
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -343,9 +352,12 @@ def run_chains(
     nodes, drawn from that chain's own stream.  To start from a chosen
     shape, or to run another chain, step a ``ChainState`` directly.
 
-    ``threads`` runs the chains in up to min(threads, n_chains, usable
-    CPUs) forked worker processes, with output identical to a serial run.
-    Where fork is unavailable, the chains run serially.  An ``n`` past
+    ``threads`` caps the processes, the caller included: with P =
+    min(threads, n_chains, usable CPUs) > 1, the caller runs chains 0, P,
+    2P, ... while P - 1 forked children run the other strided shares, and
+    the output is identical to a serial run.  A child's exception is
+    raised here unchanged; on any error every child is stopped.  Where
+    fork is unavailable, the chains run serially.  An ``n`` past
     ``MAX_CHAIN_TIPS`` is refused before any chain starts.
     """
     if n < 2:
@@ -366,8 +378,30 @@ def run_chains(
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers > 1:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.starmap(_run_one_chain, jobs, chunksize=1)
+        ctx = multiprocessing.get_context("fork")
+        children, readers, shares = [], [], []
+        try:
+            for w in range(1, workers):
+                reader, writer = ctx.Pipe(duplex=False)
+                readers.append(reader)
+                with writer:  # closing this copy, a child that dies unsent reads as EOF
+                    child = ctx.Process(target=_run_share, args=(writer, jobs[w::workers]))
+                    child.start()
+                children.append(child)
+            shares.append([_run_one_chain(*a) for a in jobs[::workers]])
+            for reader in readers:  # before any join: a child blocks in send until read
+                ok, share = reader.recv()
+                if not ok:
+                    raise share
+                shares.append(share)
+        finally:
+            for child in children:
+                if len(shares) < workers:  # a share failed or was interrupted
+                    child.terminate()
+                child.join()
+            for reader in readers:
+                reader.close()
+        results = [shares[i % workers][i // workers] for i in range(n_chains)]
     else:
         results = [_run_one_chain(*a) for a in jobs]
     return RunResult(

@@ -116,13 +116,29 @@ def _unrank_combination(items: list[int], size: int, rank: int) -> tuple[int, ..
 def _unrank_split(k: int, l: int, rank: int) -> tuple[int, int, int]:
     """The ``rank``-th split of a node with ``k`` internal and ``l`` leaf
     children, as (internal children moved, leaves moved, rank of the
-    moved subset among the size-subsets of the internal children)."""
-    for size in range(2, k + l):
+    moved subset among the size-subsets of the internal children).
+
+    Splits run by size, then by leaves moved.  Each size s with
+    k <= s <= l holds exactly 2**k splits, one per subset of the internal
+    children with leaves making up the rest; that run of sizes (``lo``
+    to ``hi``) is crossed with one division, and only the O(k) sizes
+    outside it are walked cell by cell.
+    """
+    lo, hi = max(2, k), min(l, k + l - 1)
+    size = 2
+    while size < k + l:
+        if size == lo <= hi:
+            skip, within = divmod(rank, 1 << k)
+            if skip > hi - lo:
+                size, rank = hi + 1, rank - ((hi - lo + 1) << k)
+                continue
+            size, rank = lo + skip, within
         for j in range(max(0, size - k), min(size, l) + 1):
             cell = math.comb(k, size - j)
             if rank < cell:
                 return size - j, j, rank
             rank -= cell
+        size += 1
     raise ValueError("rank exceeds the node's split count")
 
 

@@ -324,16 +324,21 @@ def _fmatrix_vectors(m: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (0, *(drops.argmax(axis=1) + 1).tolist()), tuple(d[-1].tolist())
 
 
+# Counts whose decimal text _Decimals keeps: every count of a shape with
+# fewer than 2**14 tips, so of every shape that run_chains accepts.
+_KEPT_DECIMALS = 1 << 14
+
+
 class _Decimals(dict):
-    """Decimal strings of ints, each made once and kept for 0 <= k < 1024
-    (every count of a shape with fewer than 1024 tips); larger ones are
-    made per call, so the table stays bounded."""
+    """Decimal strings of ints, each made once and kept for 0 <= k <
+    ``_KEPT_DECIMALS``; larger ones are made per call, so the table stays
+    bounded."""
 
     __slots__ = ()
 
     def __missing__(self, k):
         s = str(k)
-        if 0 <= k < 1024:
+        if 0 <= k < _KEPT_DECIMALS:
             self[k] = s
         return s
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import multiprocessing
+import os
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -405,7 +406,8 @@ def test_public_stepper_gives_the_pinned_stream(sampler, n):
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """Two usable CPUs whatever the host has; records each pool context made."""
+    """Two usable CPUs whatever the host has; records each context made
+    for worker processes."""
     monkeypatch.setattr(chains, "_usable_cpus", lambda: 2)
     started = []
     real = multiprocessing.get_context
@@ -421,7 +423,7 @@ def pool_starts(monkeypatch):
 @pytest.fixture
 def no_pool(monkeypatch):
     def get_context(method=None):
-        raise AssertionError("a worker pool was started")
+        raise AssertionError("worker processes were started")
 
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
 
@@ -450,6 +452,66 @@ class TestWorkerProcesses:
         with pytest.raises(ValueError, match=r"^shape has no neighbors \(single-shape space\)$"):
             run_chains(2, n_chains=2, n_steps=1, seed=0, threads=2)
         assert pool_starts == ["fork"]
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three usable CPUs, so run_chains forks two children; records each
+    child it terminates, and after the test none may still be alive."""
+    monkeypatch.setattr(chains, "_usable_cpus", lambda: 3)
+    terminated = []
+    real = multiprocessing.context.ForkProcess.terminate
+
+    def terminate(self):
+        terminated.append(self.pid)
+        real(self)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "terminate", terminate)
+    yield terminated
+    assert multiprocessing.active_children() == []
+
+
+def _fail_where(monkeypatch, in_parent):
+    """Make the chains run in the calling process (``in_parent``), or else
+    those run in its children, start in the one-shape space N = 2, where
+    the first step raises."""
+    parent, real = os.getpid(), chains._run_one_chain
+
+    def run_one_chain(n, n_steps, thin, k, seed_seq):
+        if (os.getpid() == parent) == in_parent:
+            n, k = 2, 1
+        return real(n, n_steps, thin, k, seed_seq)
+
+    monkeypatch.setattr(chains, "_run_one_chain", run_one_chain)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+class TestNoChildOutlivesTheRun:
+    @pytest.mark.parametrize("n_chains", [3, 7], ids=["even-shares", "uneven-shares"])
+    def test_success(self, n_chains, three_cpus):
+        kw = dict(n_chains=n_chains, n_steps=60, seed=5, thin=3)
+        assert run_chains(12, threads=3, **kw) == run_chains(12, **kw)
+        assert three_cpus == []  # joined, never terminated
+
+    @pytest.mark.parametrize("sampler, n", MH_STREAMS)
+    def test_pinned_stream_reproduced(self, sampler, n, three_cpus):
+        r = run_chains(n, n_chains=3, n_steps=400, seed=2506, threads=3)
+        assert stream_digest(r) == GOLDEN_STREAMS[sampler, n]
+        assert three_cpus == []
+
+    def test_error_in_a_child(self, monkeypatch, three_cpus):
+        _fail_where(monkeypatch, in_parent=False)
+        with pytest.raises(ValueError, match=r"^shape has no neighbors \(single-shape space\)$"):
+            run_chains(8, n_chains=7, n_steps=50, seed=0, threads=3)
+        assert len(three_cpus) == 2
+
+    def test_error_only_in_the_callers_share(self, monkeypatch, three_cpus):
+        _fail_where(monkeypatch, in_parent=True)
+        with pytest.raises(ValueError, match=r"^shape has no neighbors \(single-shape space\)$"):
+            run_chains(8, n_chains=7, n_steps=50, seed=0, threads=3)
+        assert len(three_cpus) == 2
 
 
 class TestSerialFallback:
@@ -926,6 +988,25 @@ class TestGapAndBounds:
         assert gap.eigenvalues.min() == pytest.approx(-1)
         assert gap.gamma_star == pytest.approx(0, abs=1e-10)
         assert gap.t_rel == math.inf
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_nonlazy_walk_has_eigenvalue_minus_one_exactly(self, n):
+        # Every covering edge joins shapes whose K differ by one, so
+        # f = (-1)^K gives Af = -Wf in integers, with A the covering
+        # adjacency and W = diag(deg).  The walk's kernel is W^-1 A (its
+        # holding weight is deg), so -1 is an exact eigenvalue, and the
+        # gamma_star near 0 that `exact` prints is a rounded 0.
+        g = build_hasse(n)
+        f = [(-1) ** v.n_internal for v in g.vertices]
+        af = [0] * g.n_vertices
+        for i, ups in enumerate(g.up):
+            for j in ups:
+                af[i] += f[j]
+                af[j] += f[i]
+        plus, minus = g.degrees()
+        w = [int(d) for d in plus + minus]
+        assert af == [-d * x for d, x in zip(w, f)]
+        assert chains._weights(g, "random-walk").tolist() == w
 
     def test_bound_values(self):
         b5 = mixing_bounds(5)

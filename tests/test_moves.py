@@ -29,7 +29,13 @@ from mtshapes.chains import (
     step_symmetric,
 )
 from mtshapes.coalescent import BetaMeasure, sample_topologies
-from mtshapes.lattice import Neighborhood, max_degree, max_degree_tree, split_count
+from mtshapes.lattice import (
+    Neighborhood,
+    _unrank_split,
+    max_degree,
+    max_degree_tree,
+    split_count,
+)
 
 STEPPERS = {
     "mh-uniform": step_mh_uniform,
@@ -72,6 +78,18 @@ def reference_unrank_combination(items, size, rank):
                 break
             rank -= block
     return tuple(out)
+
+
+def reference_unrank_split(k, l, rank):
+    """The rank-th split of a (k internal, l leaf) child profile, walked
+    one (size, moved leaves) cell at a time."""
+    for size in range(2, k + l):
+        for j in range(max(0, size - k), min(size, l) + 1):
+            cell = math.comb(k, size - j)
+            if rank < cell:
+                return size - j, j, rank
+            rank -= cell
+    raise ValueError("rank exceeds the node's split count")
 
 
 def reference_split(shape, node, moved, leaves):
@@ -251,6 +269,25 @@ def test_move_rank_out_of_range():
     for r in (-1, nbhd.degree):
         with pytest.raises(ValueError, match="rank must be in"):
             nbhd.move(r)
+
+
+def test_unrank_split_matches_the_cell_walk():
+    for k in range(8):
+        for l in range(13):
+            if k + l < 2 or (k, l) == (1, 0):
+                continue
+            count = split_count(k, l)
+            for r in range(count):
+                assert _unrank_split(k, l, r) == reference_unrank_split(k, l, r), (k, l, r)
+            with pytest.raises(ValueError, match="rank exceeds"):
+                _unrank_split(k, l, count)
+
+
+@pytest.mark.parametrize("k, l", [(0, 3000), (3, 3000), (12, 40)])
+def test_unrank_split_at_many_leaves(k, l):
+    count = split_count(k, l)
+    for r in (0, 1, 2**k - 1, 2**k, count // 2, count - 2**k, count - 1):
+        assert _unrank_split(k, l, r) == reference_unrank_split(k, l, r), r
 
 
 def walk_and_check(state, stepper, rng, steps):

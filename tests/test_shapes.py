@@ -28,7 +28,7 @@ from mtshapes import (
     validate_fmatrix,
     validate_string,
 )
-from mtshapes.chains import RunResult, semi_random_init
+from mtshapes.chains import MAX_CHAIN_TIPS, RunResult, semi_random_init
 from mtshapes.coalescent import UNIFORM_MEASURE, sample_topologies
 from mtshapes.enumeration import _compositions
 from mtshapes.shapes import fmatrix_to_string, string_to_fmatrix
@@ -493,15 +493,19 @@ class TestSerialization:
 
     def test_to_text_past_the_decimal_table(self):
         table = shapes_module._decimal.__self__
+        kept = shapes_module._KEPT_DECIMALS
+        # every count of a shape that run_chains accepts is kept
+        assert kept > MAX_CHAIN_TIPS
         for s in (
             TreeShape((0, 1), (1023, 1024)),
+            TreeShape((0, 1), (kept - 1, kept)),
             TreeShape((0,), (10**6,)),
-            TreeShape((0, 1), (10**6, 1023)),
+            TreeShape((0, 1), (10**6, kept - 1)),
         ):
             assert s.to_text() == str_join_text(s)
-        assert table[1023] == "1023"
-        assert 1024 not in table and 10**6 not in table
-        assert len(table) <= 1024
+        assert table[1024] == "1024" and table[kept - 1] == str(kept - 1)
+        assert kept not in table and 10**6 not in table
+        assert len(table) <= kept
 
     def test_samples_decode_counts_past_1023(self):
         shapes = [

@@ -78,9 +78,9 @@ KINDS = ("symmetric", "random-walk")
 # about 0.2 s at N = 10**6 with K = 1.
 MAX_CHAIN_TIPS = 10_000
 
-# The exact paths hold dense V x V float64 kernels and run an O(V^3)
-# eigensolve.  N = 8 (1108 shapes, 9.8 MB) fits; N = 9 (6092 shapes,
-# 297 MB before the eigensolve's own copies) does not.
+# The exact paths are capped by a dense V x V float64 kernel, which the
+# symmetric chain's eigensolve holds.  N = 8 (1108 shapes, 9.8 MB) fits;
+# N = 9 (6092 shapes, 297 MB before the eigensolve's copies) does not.
 MAX_KERNEL_BYTES = 64 * 10**6
 # exact_bottleneck enumerates all 2^V subsets: N = 5 has 15 shapes, N = 6 has 54.
 MAX_BOTTLENECK_VERTICES = 15
@@ -415,25 +415,36 @@ def run_chains(
 # Both kernels move to each neighbor of x with probability 1/w(x) and
 # hold otherwise: w = M_N for the symmetric chain, w = deg for the random
 # walk.  So pi is proportional to w, and the bottleneck ratio of S is
-# |boundary of S| / w(S).  _weights is the only place that reads the kind.
+# |boundary of S| / w(S).  _weights is the only place that reads the kind;
+# it checks w >= deg in integers, so pi P = pi exactly (`exact` prints a
+# residual of 0).  exact_gap solves the walk on one side of the graph's
+# bipartition by K and returns gaps to GAP_DIGITS certified digits.
 
 
 def _weights(graph: LatticeGraph, kind: str) -> np.ndarray:
     """Holding weight w(x) per vertex of ``graph`` for chain ``kind``."""
+    deg = np.add(*graph.degrees())
     if kind == "symmetric":
         w = np.full(graph.n_vertices, max_degree(graph.n))
     elif kind == "random-walk":
-        plus, minus = graph.degrees()
-        w = plus + minus
+        w = deg
     else:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if not w.all():
         raise ValueError(f"{kind} chain undefined: the space has an isolated shape")
+    if (w < deg).any():
+        raise ValueError(f"{kind} chain undefined: a shape has more than w(x) neighbours")
     return w
 
 
 def _edges(graph: LatticeGraph) -> tuple[list[int], list[int]]:
-    """The covering edges as parallel lists of lower and upper vertices."""
+    """The covering edges as lower and upper vertex lists, within the kernel cap."""
+    v = graph.n_vertices
+    if 8 * v * v > MAX_KERNEL_BYTES:
+        raise ValueError(
+            f"dense kernel over {v} shapes needs {8 * v * v / 1e6:.0f} MB; "
+            f"cap is {MAX_KERNEL_BYTES // 10**6} MB (exact analysis takes N <= 8)"
+        )
     lower = [i for i, ups in enumerate(graph.up) for _ in ups]
     upper = [j for ups in graph.up for j in ups]
     return lower, upper
@@ -444,12 +455,6 @@ def exact_kernel(graph: LatticeGraph, kind: str, lazy: bool = False) -> np.ndarr
     each covering neighbour, and the rest of the row's mass on x."""
     w = _weights(graph, kind)
     v = graph.n_vertices
-    size = 8 * v * v  # float64 entries
-    if size > MAX_KERNEL_BYTES:
-        raise ValueError(
-            f"dense kernel over {v} shapes needs {size / 1e6:.0f} MB; "
-            f"cap is {MAX_KERNEL_BYTES // 10**6} MB (exact analysis takes N <= 8)"
-        )
     lower, upper = _edges(graph)
     p = np.diag(1.0 - np.bincount(lower + upper, minlength=v) / w)
     p[lower + upper, upper + lower] = 1.0 / w[lower + upper]
@@ -521,23 +526,56 @@ class GapResult:
     eigenvalues: np.ndarray
 
 
-def exact_gap(graph: LatticeGraph, kind: str, lazy: bool = False) -> GapResult:
-    """Spectral gap via a symmetric eigensolve.
+GAP_DIGITS = 8  # significant digits of exact_gap's gamma, gamma_star and t_rel
 
-    The kernel is symmetrized by the similarity transform
-    D^(1/2) P D^(-1/2) with D = diag(pi), which preserves the spectrum
-    (the identity for the symmetric chain, whose pi is uniform).
+
+def _certified(x: float, err: float) -> float:
+    """``x`` to GAP_DIGITS digits, which all values within ``err`` share."""
+    lo, hi = (float(f"{y:.{GAP_DIGITS - 1}e}") for y in (x - err, x + err))
+    if lo != hi:
+        raise ArithmeticError(f"{x!r} +- {err:.1e} straddles a {GAP_DIGITS}-digit boundary")
+    return lo
+
+
+def exact_gap(graph: LatticeGraph, kind: str, lazy: bool = False) -> GapResult:
+    """Gaps gamma = 1 - lambda_2, gamma_star = 1 - max(|lambda_min|,
+    lambda_2) and t_rel = 1/gamma_star of S = W^1/2 P W^-1/2 (similar to P).
+
+    Where no shape holds (the walk), S = [[0, C], [C^T, 0]] across K's
+    parity, with spectrum +-sigma(C) plus zeros: one eigvalsh(C C^T) on the
+    smaller side (529 x 529 at N = 8), and the plain walk is periodic
+    (gamma_star = 0, t_rel = inf exactly).  Else the dense S is solved.
+    Eigenvalues lie within delta = V * 2^-52 * ||S||, ||S|| <= 1 (LAPACK
+    Users' Guide 4.7), t_rel within delta / (gamma_star (gamma_star -
+    delta)); the three are rounded to GAP_DIGITS certified digits, whatever
+    the BLAS.  Half-size eigenvalues near 0 hold only to about sqrt(delta).
     """
-    p = exact_kernel(graph, kind, lazy=lazy)
-    root = np.sqrt(stationary_distribution(graph, kind))
-    p *= root[:, None]
-    p /= root[None, :]
-    w = np.linalg.eigvalsh(p)
-    gamma = 1.0 - w[-2]
-    gamma_star = 1.0 - max(abs(w[0]), w[-2])
-    # Periodic chains have an eigenvalue at -1; treat the gap as zero.
-    t_rel = math.inf if gamma_star <= 1e-12 else 1.0 / gamma_star
-    return GapResult(gamma=gamma, gamma_star=gamma_star, t_rel=t_rel, eigenvalues=w)
+    w = _weights(graph, kind)
+    delta = w.size * 2.0**-52
+    if no_hold := (w == np.add(*graph.degrees())).all():
+        odd = np.array([s.n_internal % 2 for s in graph.vertices], dtype=bool)
+        rows = odd if 2 * odd.sum() <= odd.size else ~odd
+        lower, upper = (np.array(e, dtype=np.intp) for e in _edges(graph))
+        pos = np.where(rows, np.cumsum(rows), np.cumsum(~rows)) - 1
+        r, c = np.where(rows[lower], lower, upper), np.where(rows[lower], upper, lower)
+        block = np.zeros((rows.sum(), rows.size - rows.sum()))
+        block[pos[r], pos[c]] = 1.0 / np.sqrt(w[lower] * w[upper])
+        sv = np.sqrt(np.clip(np.linalg.eigvalsh(block @ block.T), 0.0, None))
+        eig = np.concatenate([-sv[::-1], np.zeros(w.size - 2 * sv.size), sv])
+        eig = (1.0 + eig) / 2.0 if lazy else eig
+    else:
+        p = exact_kernel(graph, kind, lazy=lazy)
+        p *= np.sqrt(w)[:, None] / np.sqrt(w)
+        eig = np.linalg.eigvalsh(p)
+    gamma = float(1.0 - eig[-2])
+    gamma_star = gamma if no_hold else float(1.0 - max(abs(eig[0]), eig[-2]))
+    if no_hold and not lazy:  # periodic: -1 is an exact eigenvalue
+        gamma_star, t_rel = 0.0, math.inf
+    else:  # t_rel's error bound holds only while gamma_star > delta
+        err = delta / (gamma_star * (gamma_star - delta)) if gamma_star > delta else math.inf
+        t_rel, gamma_star = _certified(1.0 / gamma_star, err), _certified(gamma_star, delta)
+    gamma = _certified(gamma, delta)
+    return GapResult(gamma=gamma, gamma_star=gamma_star, t_rel=t_rel, eigenvalues=eig)
 
 
 @dataclass

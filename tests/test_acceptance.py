@@ -17,7 +17,10 @@ oracles this suite computes:
   subset but are not the minimum over all subsets.
 
 Those assertions are kept verbatim and marked strict xfail; each is
-paired with a passing companion asserting the consistent value.
+paired with a passing companion asserting the consistent value.  So is
+one bound that the exact layer refutes: the lazy random walk's upper
+bound 8 log(4 M_N G(N)) is below the lower bound (t_rel - 1) log 2 on its
+mixing time at N = 8.
 """
 
 import math
@@ -318,6 +321,42 @@ def test_c09_bound_formulas(graphs):
     for n in (5, 6, 7):
         assert diameter(graphs[n]) >= 2 * (n - 3)
     report("9 (bound formulas ordered, N=4..20; diameters >= 2(N-3)): PASS")
+
+
+@pytest.fixture(scope="module")
+def lazy_walk_t_rel(graphs):
+    """The lazy random walk's relaxation time at N = 7 and 8, to
+    ``GAP_DIGITS`` certified digits."""
+    return {
+        n: exact_gap(graphs.get(n) or build_hasse(n), "random-walk", lazy=True).t_rel
+        for n in (7, 8)
+    }
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="at N=8 the lazy walk's t_mix is at least (t_rel - 1) log 2 = 185.9 "
+    "(Levin, Peres & Wilmer, Thm 12.5), above the stated 8 log(4 M_N G(N)) = 90.7",
+)
+def test_c09_lazy_walk_upper_bound_as_stated(lazy_walk_t_rel):
+    upper = mixing_bounds(8).random_walk_lazy_upper
+    lower = (lazy_walk_t_rel[8] - 1) * math.log(2)
+    report(
+        f"9 (lazy walk upper bound at N=8): FAIL expected -- "
+        f"stated {upper:.1f} below the t_mix lower bound {lower:.1f}"
+    )
+    assert upper >= lower
+
+
+def test_c09_lazy_walk_relaxation_times(lazy_walk_t_rel):
+    assert lazy_walk_t_rel == {7: 97.509859, 8: 269.22377}
+    upper = mixing_bounds(8).random_walk_lazy_upper
+    lower = (lazy_walk_t_rel[8] - 1) * math.log(2)
+    assert round(upper, 1) == 90.7 and round(lower, 1) == 185.9
+    report(
+        f"9 (lazy walk t_rel 97.509859 at N=7, 269.22377 at N=8; "
+        f"t_mix >= {lower:.1f} > stated {upper:.1f}): PASS"
+    )
 
 
 @pytest.mark.xfail(

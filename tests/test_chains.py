@@ -1,5 +1,6 @@
 """Markov kernels, samplers, and exact small-space diagnostics."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -900,6 +901,37 @@ class TestExactKernels:
         assert set(res.minimizers) == set(minimizers)
         assert res.minimizers == minimizers
 
+    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("kind", ["symmetric", "random-walk"])
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_stationary_exactly_in_fractions(self, n, kind, lazy, hasse):
+        # P(x, y) = 1/w(x) on covers, the rest of x's row on x, and pi
+        # proportional to w: pi P = pi holds exactly, which is why `exact`
+        # prints a stationarity residual of 0.
+        g = hasse[n]
+        nbrs = [g.up[i] + g.down[i] for i in range(g.n_vertices)]
+        w = [max_degree(n)] * g.n_vertices if kind == "symmetric" else [len(y) for y in nbrs]
+        assert chains._weights(g, kind).tolist() == w
+        pi = [Fraction(x, sum(w)) for x in w]
+        pi_p = [Fraction(0)] * g.n_vertices
+        for x, ys in enumerate(nbrs):
+            stay, move = 1 - Fraction(len(ys), w[x]), Fraction(1, w[x])
+            if lazy:
+                stay, move = (1 + stay) / 2, move / 2
+            assert stay >= 0
+            pi_p[x] += pi[x] * stay
+            for y in ys:
+                pi_p[y] += pi[x] * move
+        assert pi_p == pi
+
+    def test_weight_below_degree_refused(self):
+        # M_3 = 1, but the middle of a 4-vertex path has two neighbours:
+        # that row would hold with mass 1 - 2/1 < 0.
+        g = dataclasses.replace(TestBottleneck.path_graph(4), n=3)
+        for exact in (exact_kernel, stationary_distribution, exact_gap):
+            with pytest.raises(ValueError, match=r"more than w\(x\) neighbours$"):
+                exact(g, "symmetric")
+
     def test_bottleneck_refuses_an_unconfirmed_float_pick(self, hasse, monkeypatch):
         # The float argmin is only a candidate; a pick that the integer
         # cross-multiplication beats must not be returned.
@@ -966,6 +998,20 @@ class TestBottleneck:
             exact_bottleneck(self.path_graph(16), "random-walk")
 
 
+def dense_walk_spectrum(graph, lazy):
+    """The walk's spectrum solved the dense way, as ``exact_gap`` once did:
+    the V x V kernel, the sqrt(pi) similarity, one eigvalsh."""
+    p = exact_kernel(graph, "random-walk", lazy=lazy)
+    root = np.sqrt(stationary_distribution(graph, "random-walk"))
+    p *= root[:, None]
+    p /= root[None, :]
+    return np.linalg.eigvalsh(p)
+
+
+def rounded(x):
+    return float(f"{x:.{chains.GAP_DIGITS - 1}e}")
+
+
 class TestGapAndBounds:
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("kind", ["symmetric", "random-walk"])
@@ -989,13 +1035,50 @@ class TestGapAndBounds:
         assert gap.gamma_star == pytest.approx(0, abs=1e-10)
         assert gap.t_rel == math.inf
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_half_size_walk_matches_dense_oracle(self, n, lazy, hasse):
+        g = hasse[n] if n in hasse else build_hasse(n)
+        delta = g.n_vertices * 2.0**-52
+        gap = exact_gap(g, "random-walk", lazy=lazy)
+        got, ref = gap.eigenvalues, dense_walk_spectrum(g, lazy)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, np.sort(got))
+        # A half-size eigenvalue is a square root, so where the plain
+        # eigenvalue mu is near 0 only its square is good to delta.
+        mu, mu_ref = (2 * got - 1, 2 * ref - 1) if lazy else (got, ref)
+        assert np.abs(got - ref)[np.abs(mu_ref) >= 0.5].max() <= delta
+        assert np.abs(mu**2 - mu_ref**2).max() <= delta
+        # The unrounded gaps agree within delta, and round alike.
+        assert abs(got[-2] - ref[-2]) <= delta
+        assert gap.gamma == rounded(1 - ref[-2])
+        gamma_star = 1 - max(abs(ref[0]), ref[-2])
+        if lazy:
+            assert (gap.gamma_star, gap.t_rel) == (rounded(gamma_star), rounded(1 / gamma_star))
+        else:
+            assert abs(gamma_star) <= delta
+            assert (gap.gamma_star, gap.t_rel) == (0.0, math.inf)
+
+    def test_certified_rounding(self):
+        assert chains._certified(0.1234567849, 1e-12) == 0.12345678
+        assert chains._certified(1.0, 1e-12) == 1.0
+        with pytest.raises(ArithmeticError, match="straddles a 8-digit boundary"):
+            chains._certified(0.123456785, 1e-12)
+
+    def test_gap_refuses_an_uncertain_digit(self, hasse, monkeypatch):
+        # At 9 digits the lazy walk's t_rel at N = 7, 97.50985875029...,
+        # lies within its error bound of a rounding boundary.
+        monkeypatch.setattr(chains, "GAP_DIGITS", 9)
+        with pytest.raises(ArithmeticError, match="straddles a 9-digit boundary"):
+            exact_gap(hasse[7], "random-walk", lazy=True)
+
     @pytest.mark.parametrize("n", range(4, 9))
     def test_nonlazy_walk_has_eigenvalue_minus_one_exactly(self, n):
         # Every covering edge joins shapes whose K differ by one, so
         # f = (-1)^K gives Af = -Wf in integers, with A the covering
         # adjacency and W = diag(deg).  The walk's kernel is W^-1 A (its
-        # holding weight is deg), so -1 is an exact eigenvalue, and the
-        # gamma_star near 0 that `exact` prints is a rounded 0.
+        # holding weight is deg), so -1 is an exact eigenvalue, and
+        # `exact` prints gamma_star 0 and t_rel inf as exact values.
         g = build_hasse(n)
         f = [(-1) ** v.n_internal for v in g.vertices]
         af = [0] * g.n_vertices

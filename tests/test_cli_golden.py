@@ -121,105 +121,105 @@ GOLDEN = {
     ("exact", "--n", "3", "--chain", "sym", "--lazy", "--json"):
         "6f67668371b7cd57a028ba943a3dc5443bec8094e1954e1093d93299d445aaeb",
     ("exact", "--n", "4", "--chain", "rw"):
-        "fcff465b262e00df3e6c8471b71ba19b26c2f5e899036f81d4dbea544b9132e4",
+        "38397de7f16580af2dab10d3ba3c2d410c6037dab508444a07af386034a321a4",
     ("exact", "--n", "4", "--chain", "rw", "--json"):
-        "2b49f54a70dc8d2428452f29f321f246a65a30b45fffef83598d0c31055d7d5a",
+        "b32a91a78daf3bacfad69e52093c453cf94b18c32c4ddbea419aabd78a9716f7",
     ("exact", "--n", "4", "--chain", "rw", "--lazy"):
-        "c05095a447d8c98fbe4b3395d0c7e0e7764a7a5bed25d8db3971ee74da8cfc4e",
+        "f9f3f7ef8e2c39e96d7e839abf43afb9d91c7ffde42231cfddab3763e05b2cab",
     ("exact", "--n", "4", "--chain", "rw", "--lazy", "--json"):
-        "4ccfdb5e4793e11e39e316beb214cfbae83d97e21fd12d52ba816d73bcff2f4e",
+        "b80c50a023f6d332e0e7085c7ce23e4cf5a374a10723eb91cc92716f99525b65",
     ("exact", "--n", "4", "--chain", "sym"):
-        "a81bec4dde8d810993daa2080ff9ea3f983cbb8c8519bfac9c3e67b742bee081",
+        "3b0e750ec4e4a740b5ffb7382a596d7f2cce65f5ee9ca2a05beb8159d5090fcf",
     ("exact", "--n", "4", "--chain", "sym", "--json"):
-        "6a953ca0047f1e306f4d82093e20405f126c8167a3eebc4a91736d66155ca1c4",
+        "b61b216217bcc389bc0e38d8f2fcfe6be90571181cad7c32f4b39fd2d6f2653e",
     ("exact", "--n", "4", "--chain", "sym", "--lazy"):
-        "6e7b213123410f8e391bb27724e91aef8040d5b49e76b1039363b9c5c9a67915",
+        "3f60585f5b95ea35e13f9cc53cab6028cb38cc61f6fe8e5926451e65c80dc22b",
     ("exact", "--n", "4", "--chain", "sym", "--lazy", "--json"):
-        "e64a773afa588470f5bd2b1121b4fe9ae20938e941e7d0779373a1fbcdf16768",
+        "772225265ef192bb01fd8a37c90752432d95d311df37213d23708aff08d1d942",
     ("exact", "--n", "5", "--chain", "rw"):
-        "b62324387430f18d52f2886be1d134f2eab76569c219d0292a74d086ef7e9cf4",
+        "ebca7d0592e06beab422b88d8e9666b08ff211fa03b4e271e72f6c5a31f71637",
     ("exact", "--n", "5", "--chain", "rw", "--json"):
-        "7f13f7f7234ccbb1c90ad4789dee6f794e65102c7973fbffcd464bd7b36d4af3",
+        "41412ddfb8b13e77e6e5091b0dbe31cea6c33eec6e4d5acc49dbb84f5bda2ced",
     ("exact", "--n", "5", "--chain", "rw", "--lazy"):
-        "bea3b2ab9293b3b2c5cc89df366404c6cdad987a5af3401756d425015b387ec4",
+        "8c4ba7ac3cec12e15f8016374854bfc2e052de8bd30d2163569a6c816d90e176",
     ("exact", "--n", "5", "--chain", "rw", "--lazy", "--json"):
-        "98b9ed939c1fad1072659198a9ee4689f47bc8e60183d67faea68d911c0f410d",
+        "bb0062763139123a5375fb92a8d941ee5bb16bf9f9832932830b5ad6a22da2a9",
     ("exact", "--n", "5", "--chain", "sym"):
-        "021cc85eaa875ec6f13fb92707959b5d82da2d77a817edd0d59c13e27bcdf64b",
+        "a7385fe6ba60efa47b32a31287d28b38db8b0c9a9af24329a77e4cc056b816bc",
     ("exact", "--n", "5", "--chain", "sym", "--json"):
-        "a979f08c2b622fce7973536b98cf7d6c496d6717d1afa95b3e38d78f86512ce1",
+        "cff3e7d80f5cfd91bd74a980869a7cc52ebb888868340f1b3da996acd9079ef9",
     ("exact", "--n", "5", "--chain", "sym", "--lazy"):
-        "5b5b3a20b59ffc9ad701bbec9bf428f9745039a26aec7de5089846e895aaa09c",
+        "56380596fdca864a257cdc3e7d606a87763a6a8700616574bae908e0eb70be6c",
     ("exact", "--n", "5", "--chain", "sym", "--lazy", "--json"):
-        "29ddd793df9c1a5118dd2b67b69097b0aaa426fbca331e08fc352bcd847b94f1",
+        "b0fdcaa89405610eefa187c20b7f61a65be3568d403272cfc53f5f1d2f70d61b",
     ("exact", "--n", "6", "--chain", "rw"):
-        "3f669b51cb0ac37fa6593483eba83b866f9ca464557e04361e2af459aadab358",
+        "3d721c16cc29d39d1b35ae1b41a84ff7812c92f97aec5a9a220bd407cf1e2774",
     ("exact", "--n", "6", "--chain", "rw", "--json"):
-        "c38d11cc185aa6dce5d3d9489badda9c727b2056f9b90838a6c9f56e70dd0b1b",
+        "c05a1048111ce54ea35bd621e464b6f509ade484fe1b79b6d63b8dac79930066",
     ("exact", "--n", "6", "--chain", "rw", "--lazy"):
-        "cd97accd4bf7c6460018e07f65e5f7814a84954d32fc9c15e1b8732be56292f7",
+        "30ed9cd97e06fbc1340fc55d0b5e764eda8c51c403b978d212cfa7572b4f5439",
     ("exact", "--n", "6", "--chain", "rw", "--lazy", "--json"):
-        "a0355e9fea936ecef47f65d1888faa1089aa018e582701b333811969404fe66f",
+        "0fa8914443b1d72214dc8ed247ee6783e66815a6ba25aa02d646f4e57823e0f2",
     ("exact", "--n", "6", "--chain", "sym"):
-        "1c0f324eac36d119618632aa3bc40a83359260c9d2525eb2ea293cd8957dfc56",
+        "96a6bc3853810b35d4922330f2a71d8802ccfc3587b0c2f4ae28ceab86e5974c",
     ("exact", "--n", "6", "--chain", "sym", "--json"):
-        "fe0622c1a161a50e670e7e7fe700b4157a820d211a2a2828e69b7bc58085daa0",
+        "d076c8861ce498737e7bf7f8d788f2854bc342490159d42ff592631b19b153ab",
     ("exact", "--n", "6", "--chain", "sym", "--lazy"):
-        "aa6134b68a6a796dafe1ca45ef94174783442ec2a36f3253a5f73731fe854d37",
+        "7cfd274239632a26c4e22c340ee46bb003ed630b944cd96e3cd605e9648a3f56",
     ("exact", "--n", "6", "--chain", "sym", "--lazy", "--json"):
-        "7b4ac41500d657c4e138e764c90a77b3d0e7f296a2097fa5e7ba49a94bd01c11",
+        "55c2af4931be32930eabc6873a65c945931386c465d5a8349a515caaab493d15",
     ("exact", "--n", "7", "--chain", "rw"):
-        "b1b15889c752857bd48b115bb4cd9e5079c4e8f1e1691a59e16a910cdea45203",
+        "1b9322529a41a6031273855559600691262b00d10916f09310dc792c996e6af9",
     ("exact", "--n", "7", "--chain", "rw", "--json"):
-        "093709d7dc9fc3b4a27a30f8fe7e2e7299e26acd4489efdd6375341742e9f4eb",
+        "e6becef688364459485ad475074f82c881d6688b0ce71f2bc8ce16e510703802",
     ("exact", "--n", "7", "--chain", "rw", "--lazy"):
-        "607bce177e8bf7168b86fda30885f522127db12ced80b5d9a1c8076c1b94c49b",
+        "b1678c38425ceb2c56370faefa2fbffbee6577a35a781371f552a8f97899a242",
     ("exact", "--n", "7", "--chain", "rw", "--lazy", "--json"):
-        "41b779bac8e7ce87c8aeb03fc146e9e7ead4ca5893002811c26d351b367bcf7b",
+        "0c209cc2f30e274e58ad4b37cebc060abfc24ddf0181e7cf256e5b966b68c3a5",
     ("exact", "--n", "7", "--chain", "sym"):
-        "bbabe24131d6da12963f8ea44a67bf2e53f766a59b87543e4aae3c22d4598619",
+        "c52f4c7df9a4f0ca85aec75e25a8700e9b04a5c6f2352004fb1f07637079ca29",
     ("exact", "--n", "7", "--chain", "sym", "--json"):
-        "fbc370b3e332f64f12aae0fb17df83359591450f1198a97f3589c486a5057459",
+        "864eab29c82c5b948454d87dd59acec3791a6010d78f54cdfb7c68de0933cfe7",
     ("exact", "--n", "7", "--chain", "sym", "--lazy"):
-        "f8c0213ceca473bac42f0d251d35504ba69f2fc2e12a736fb1be1e34caa1f316",
+        "c5bdfc90a087e1d7a97e14899ba238ee5bea4fecae482f870ead419de559b6e8",
     ("exact", "--n", "7", "--chain", "sym", "--lazy", "--json"):
-        "d5c8b3fd678441ac264a4d1f974c711b1d773d0b471281831a67b9237a19dd59",
+        "92abc14a8bade242fd3aac3c8efb8f5e33863a59f295ac686c874a3c92bd944d",
     ("exact", "--n", "8", "--chain", "rw"):
-        "9313dcbd08c030395f9aa06d4e0a3011cf568f6a77ea261498a253b55e8c16c5",
+        "05eabcbe1f873aeea7917cbc4c8240729306cdeb02ba33e50f4406305fbb37e0",
     ("exact", "--n", "8", "--chain", "rw", "--json"):
-        "a650fc71a86788f5cc7e883887c24c57f1bb5176457ba3008ccc9d831ce433a0",
+        "b102a020f0c420eba5763d1435bc5c0c19922800674183d1869d83dad9331133",
     ("exact", "--n", "8", "--chain", "rw", "--lazy"):
-        "a091d40c466cb6b33c16c189bfe334f67af1659df10b5cb570277687185945b0",
+        "640575e00223c62c52361a04fb70ebbbb3f29508a779ee0a59516e43f6e4d2e1",
     ("exact", "--n", "8", "--chain", "rw", "--lazy", "--json"):
-        "8a4d83755e458e65d779ca02f9bf63e3b26249a1098ed4f7bac57fee11d65578",
+        "06eb5270b3174c76db1acbfac49f7c96bd5e3dcf4a84970ec4292fadfee94007",
     ("exact", "--n", "8", "--chain", "sym"):
-        "ab48b23314e8b7c6d3b2d64f50e1b3433c3943a7cfc63e41fc11fd030bec6429",
+        "91d87ca95c7533821c50d5fe95d8e301b770da1a2fed4f40136c0d5aa1c2c629",
     ("exact", "--n", "8", "--chain", "sym", "--json"):
-        "f61a15c3c9b5713a391878cad7d0cd5d03a9c59087fc072f38f140c422a9540a",
+        "3b7ffa53140ba61241d2d0a3cfa184b22c04fac95d73a5e7ce50eaf439f8c63f",
     ("exact", "--n", "8", "--chain", "sym", "--lazy"):
-        "0ae9fe055774dd12e5aacd03db22c020b3d954684f86327f0978fb05662b7242",
+        "1cc07f3d95f3f8d96e3148bc4b7f17ce299041c8d05fe4986921408d99d93096",
     ("exact", "--n", "8", "--chain", "sym", "--lazy", "--json"):
-        "6e29621551784e01b92b73fe5b08316795a77ce68d042a98639ea4399a9e18b6",
+        "0b0bc40e9ed03aa627a06c256fca5466df01cf094b49c56225c5e5214fbc54d8",
     ("bounds", "--n", "4", "--exact"):
-        "49565b6b1012008aa5726947a17adf39b7161ab720297af2de4bbf6264c2ae45",
+        "e7aa8e86d5cea316abc572999dc0f0ad5ff91a8ed939098d19f30e600d4e6d1f",
     ("bounds", "--n", "4", "--exact", "--json"):
-        "d838dcacfae927ea0bc8cbb23d87e11fc4513e9a3525afb90a82cddba81ed2c0",
+        "3cbcefbda8ec8c45d6b6440476179de32a931a40e3d5c71d49b4a328cddfb0c1",
     ("bounds", "--n", "5", "--exact"):
-        "cfe8ed6ddc0c712bcb03373915374afceb86ce5fc4bf2b480dde286d4177f9f2",
+        "cb0b3c879b0c66f21cb7a0ab37b374b9abf83b677b6c3d2470c15d8ca0ec530d",
     ("bounds", "--n", "5", "--exact", "--json"):
-        "1302347158e5de4020819a8032c35131428cc4625053cd9238fc5f9e9f07fb6e",
+        "4ca4392c2a905518bd710a1e6c46ee2a67b5a2ac503db055b417a3df496861af",
     ("bounds", "--n", "6", "--exact"):
-        "9508c80b139a03c23b0802c16bf790c66ba6a467a8b4caa97afdba9b0f216300",
+        "56f2b435b3694fa580a5e885408aca103925ca2ce563e19eac4b0ffb39d2391f",
     ("bounds", "--n", "6", "--exact", "--json"):
-        "4255a21477323ebe7f5eb16d821c2843dac0da7f9e97d0c2b6370e01a215abd6",
+        "141b13066d571adb8260e46080009235841e331379f40e1a698a0aa931d6e378",
     ("bounds", "--n", "7", "--exact"):
-        "c18ef8556da5af177dfdeea38900c6fd268f6f73c51355a7c941c1d931d81959",
+        "df0effb681e181931ff9542b27628365fdd2853ff018fcfdabfcb2241e4f616b",
     ("bounds", "--n", "7", "--exact", "--json"):
-        "538dc9470955674b734a9627beb39698a971ff8504729214068117b1d5be68a4",
+        "4a46e228343858425fe772114adeab56d9bbe3adad6a1f723dd26add1ef7104e",
     ("bounds", "--n", "8", "--exact"):
-        "55481abde3ba9b3448dd31b0952947cfa40dfdfaac50869549cf500d8388cd6c",
+        "e191a14864ef9a23fdea6cbc483f23cd323590eb55ce7c2721ed0e712e48b427",
     ("bounds", "--n", "8", "--exact", "--json"):
-        "f3e4ddcf762bbeaa85c67d0940ab13c2d05cab4ff5083927ebe21a93abd2b186",
+        "acaae71ad032b2971a36df7d854712a2122703d379cade14e9c3867f7a0a1a43",
     ("enumerate", "--n", "60"):
         "f3a71d64e6435027d9a917053a148f447a439b9824bbcf7c9f2ec150f923bccd",
     ("enumerate", "--n", "30", "--json"):

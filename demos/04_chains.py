@@ -11,6 +11,8 @@ N = 5 with their stationary laws, and ends with the bound formulas up
 to N = 20.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from mtshapes import (
@@ -28,6 +30,7 @@ from mtshapes.chains import (
     step_random_walk,
     step_symmetric,
 )
+from mtshapes.lattice import max_degree
 
 for n in (4, 5):
     g = build_hasse(n)
@@ -35,12 +38,22 @@ for n in (4, 5):
     for kind in ("symmetric", "random-walk"):
         p = exact_kernel(g, kind)
         pi = stationary_distribution(g, kind)
-        residual = float(np.abs(pi @ p - pi).max())
+        # Every entry of p and pi is a fraction with denominator at most
+        # V * M_N.  Two such fractions lie at least 1 / (V * M_N)**2 apart,
+        # far more than a float's rounding, so the fraction nearest each
+        # float is its exact value, and pi P = pi is checked in rationals.
+        den = g.n_vertices * max_degree(n)
+        p_q = [[Fraction(x).limit_denominator(den) for x in row] for row in p.tolist()]
+        pi_q = [Fraction(x).limit_denominator(den) for x in pi.tolist()]
+        residual = max(
+            abs(sum(pi_q[x] * p_q[x][y] for x in range(len(pi_q))) - pi_q[y])
+            for y in range(len(pi_q))
+        )
         bottleneck = exact_bottleneck(g, kind)
         gap = exact_gap(g, kind, lazy=True)
         phi_lazy = bottleneck.phi_star / 2
         print(f"  {kind}:")
-        print(f"    stationarity residual: {residual:.2e}")
+        print(f"    stationarity residual, exact: {residual}")
         print(
             f"    bottleneck ratio: {bottleneck.phi_star} "
             f"({len(bottleneck.minimizers)} minimizing subset(s), "

@@ -9,10 +9,11 @@ analysis: dense kernels, stationary checks, spectral gaps, bottleneck ratios.
 
 Neighbor moves never materialize the (possibly huge) refinement set: a
 single uniform integer below the degree is unranked into either a
-collapse or one concrete node split.  A chain keeps its current
-``Neighborhood`` and moves by patching it (``Neighborhood.move``), so
-after its first step it never rebuilds one from scratch, and the
-proposal's degree costs O(1).
+collapse or one concrete node split.  ``Neighborhood._plan`` prices a
+proposal's degree in O(1) before anything is built.  ``run_chains``
+patches each chain's one ``Neighborhood`` in place (``_apply``) on
+acceptance only and builds no shape per step; the public steppers
+patch a copy, so a neighborhood that a caller holds never changes.
 
 Draws take one of two paths to one stream.  The public steppers read
 the caller's bit generator through its ctypes interface, under its
@@ -45,7 +46,7 @@ from .lattice import (
     max_degree,
     split_count,  # noqa: F401  (kept importable: perfbench counts calls through it)
 )
-from .shapes import TreeShape, _parse_text
+from .shapes import TreeShape, _parse_text, _text
 
 __all__ = [
     "ChainState",
@@ -72,10 +73,11 @@ __all__ = [
 KINDS = ("symmetric", "random-walk")
 
 # Largest N that run_chains (and so ``mtshapes sample-uniform``) accepts.
-# A step copies O(K) tuples, draws a rank of up to about K bits and writes
-# an O(K)-character line.  On a 2-vCPU Xeon under CPython 3.11 a step took
-# 0.2 to 2 ms at N = 10**4 (K = 1 to N - 1), 1 to 23 ms at N = 10**5, and
-# about 0.2 s at N = 10**6 with K = 1.
+# A step patches O(K)-long lists, draws a rank of up to about K bits and
+# writes an O(K)-character line.  On a 2-vCPU Xeon under CPython 3.11 a
+# step (a line written each step, best of three) took about 0.04 ms at
+# N = 10**4 with K = 1, 1 ms there with K = N - 1, and 23 ms at N = 10**5
+# with K = N - 1.
 MAX_CHAIN_TIPS = 10_000
 
 # The exact paths are capped by a dense V x V float64 kernel, which the
@@ -132,6 +134,8 @@ def _below(word, n: int) -> int:
     """
     if n == 1:
         return 0
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     bits = n.bit_length()
     words = (bits + 31) // 32
     shift = words * 32 - bits
@@ -231,9 +235,11 @@ def step_mh_uniform(state: ChainState, rng: np.random.Generator) -> ChainState:
 def _mh_move(state: ChainState, here: Neighborhood, r: int, u: float) -> None:
     """Propose the ``r``-th neighbor of ``here`` (the current shape's
     neighborhood) and accept it when ``u`` passes the MH test."""
-    there = here.move(r)
+    plan = here._plan(r)
     state.proposed += 1
-    if _accepts(u, here.degree, there.degree):
+    if _accepts(u, here.degree, plan[0]):
+        there = here._copy()
+        there._apply(plan)
         state.shape, state.cached = there.shape, there
         state.accepted += 1
 
@@ -305,19 +311,24 @@ class RunResult:
 
 
 def _run_one_chain(n, n_steps, thin, k, seed_seq):
-    # The chain owns its generator, so it reads the stream in raw blocks;
-    # the output is that of stepping step_mh_uniform on the Generator.
+    # The chain owns its generator, so it reads the stream in raw blocks,
+    # and its one Neighborhood, so it patches it in place on each accepted
+    # proposal and writes its lists out at thinned steps.  The output is
+    # that of stepping step_mh_uniform on the Generator.
     bitgen = np.random.PCG64(seed_seq)
-    state = ChainState(semi_random_init(n, k, np.random.Generator(bitgen)))
+    here = ChainState(semi_random_init(n, k, np.random.Generator(bitgen))).neighborhood()
     draws = _RawDraws(bitgen)
     word, double = draws.uint32, draws.double
     out = []
+    accepted = 0
     for s in range(1, n_steps + 1):
-        here = state.neighborhood()
-        _mh_move(state, here, _below(word, here.degree), double())
+        plan = here._plan(_below(word, here.degree))
+        if _accepts(double(), here.degree, plan[0]):
+            here._apply(plan)
+            accepted += 1
         if s % thin == 0:
-            out.append(state.shape.to_text())
-    return out, state.acceptance_rate
+            out.append(_text(here._t, here._l))
+    return out, accepted / n_steps
 
 
 def _run_share(send, jobs):

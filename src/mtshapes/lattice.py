@@ -22,7 +22,7 @@ import numpy as np
 
 from .enumeration import generate_all
 from .shapes import InvalidShapeError, TreeShape, collapse_edge, validate_fmatrix
-from .shapes import _checked_fmatrix, _delete_nodes, _fmatrix_vectors
+from .shapes import _checked_fmatrix, _child_counts, _delete_nodes, _fmatrix_vectors
 
 __all__ = [
     "present_edges",
@@ -80,22 +80,6 @@ def _memo_split_count(profile: tuple[int, int]) -> int:
     # A miss calls split_count by its module name, so a wrapper installed
     # on that name sees every computation.
     return split_count(*profile)
-
-
-def _refined(shape: TreeShape, node: int, moved, leaves: int) -> TreeShape:
-    # Split ``node``: rank node + 1 is a new node holding ``moved`` (a set
-    # of internal children, or None when it takes none) and ``leaves`` leaves.
-    t, l = shape.t, shape.l
-    if moved:
-        rest = [
-            node + 1 if c in moved else (p if p <= node else p + 1)
-            for c, p in enumerate(t[node:], start=node + 1)
-        ]
-    else:
-        rest = [p if p <= node else p + 1 for p in t[node:]]
-    new_t = t[:node] + (node,) + tuple(rest)
-    new_l = l[: node - 1] + (l[node - 1] - leaves, leaves) + l[node:]
-    return TreeShape._trusted(new_t, new_l)
 
 
 def _unrank_combination(items: list[int], size: int, rank: int) -> tuple[int, ...]:
@@ -163,92 +147,116 @@ class Neighborhood:
     by node, split size, moved-leaf count, and lexicographic position of
     the moved subset of internal children.
 
-    :meth:`move` steps to a neighbor by patching these fields: a collapse
-    or a split changes the profile of at most two nodes and shifts the
-    ranks after them, so the neighbor's degree follows in O(1).
+    A move has two halves.  ``_plan(rank)`` only reads: a collapse or a
+    split changes the profile of at most two nodes and shifts the ranks
+    after them, so it prices the neighbor's degree in O(1).  ``_apply``
+    patches the lists behind every field in place (``shape`` is rebuilt on
+    its next read); :meth:`move` applies a plan to a copy.
     """
 
-    __slots__ = ("shape", "edges", "profile", "splits", "degree")
+    __slots__ = ("_shape", "_t", "_l", "_k", "_edges", "_splits", "degree")
 
     def __init__(self, shape: TreeShape):
-        self.shape = shape
-        self.edges = present_edges(shape)
-        self.profile = shape.children_counts()
-        self.splits = tuple(map(_memo_split_count, self.profile))
-        self.degree = len(self.edges) + sum(self.splits)
+        self._shape = shape
+        self._t, self._l = list(shape.t), list(shape.l)
+        self._k = _child_counts(shape.t)
+        self._edges = list(present_edges(shape))
+        self._splits = list(map(_memo_split_count, zip(self._k, self._l)))
+        self.degree = len(self._edges) + sum(self._splits)
 
-    @classmethod
-    def _patched(cls, shape, edges, profile, splits, degree) -> "Neighborhood":
-        out = object.__new__(cls)
-        out.shape, out.edges, out.profile = shape, edges, profile
-        out.splits, out.degree = splits, degree
-        return out
+    @property
+    def shape(self) -> TreeShape:
+        if self._shape is None:
+            self._shape = TreeShape._trusted(tuple(self._t), tuple(self._l))
+        return self._shape
+
+    @property
+    def edges(self) -> tuple[int, ...]:
+        return tuple(self._edges)
+
+    @property
+    def profile(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self._k, self._l))
+
+    @property
+    def splits(self) -> tuple[int, ...]:
+        return tuple(self._splits)
 
     def neighbor(self, rank: int) -> TreeShape:
         """The ``rank``-th neighbor (0-based) in the order above."""
         return self.move(rank).shape
 
     def move(self, rank: int) -> "Neighborhood":
-        """The neighborhood of the ``rank``-th neighbor, patched from this
-        one; equal, field by field, to ``Neighborhood(self.neighbor(rank))``."""
+        """The neighborhood of the ``rank``-th neighbor, patched on a copy of
+        this one; equal, field by field, to ``Neighborhood(self.neighbor(rank))``."""
         if not 0 <= rank < self.degree:
             raise ValueError(f"rank must be in [0, {self.degree}), got {rank}")
-        if rank < len(self.edges):
-            return self._collapse(rank)
-        return self._split(rank - len(self.edges))
+        out = self._copy()
+        out._apply(self._plan(rank))
+        return out
 
-    def _split(self, rank: int) -> "Neighborhood":
-        # Splitting node v hands m of its k internal children and j of its
-        # l leaves to a new node v + 1: v keeps (k - m + 1, l - j), the new
-        # node has (m, j), nodes below v keep their profile and later ones
-        # move up one rank.  Edge v now exists, edge v + 1 when old node
-        # v + 1 moved, and each later edge moves up one rank.
-        edges, profile, splits = self.edges, self.profile, self.splits
+    def _copy(self) -> "Neighborhood":
+        out = object.__new__(Neighborhood)
+        out._shape, out.degree = self._shape, self.degree
+        out._t, out._l, out._k = self._t[:], self._l[:], self._k[:]
+        out._edges, out._splits = self._edges[:], self._splits[:]
+        return out
+
+    def _plan(self, rank: int) -> tuple:
+        # The neighbor's degree, then what _apply needs: seven entries for
+        # the collapse of an edge e, nine for the split of a node v.
+        edges, splits, k = self._edges, self._splits, self._k
+        if rank < len(edges):
+            # Collapsing edge e merges nodes e and e + 1 into node e.  Edge
+            # e + 1 goes; edge e stays when old node e + 2 hung off e or
+            # e + 1; each later edge moves down one rank.
+            e = edges[rank]
+            merged = (k[e - 1] - 1 + k[e], self._l[e - 1] + self._l[e])
+            s = _memo_split_count(merged)
+            after = rank + 1
+            if after < len(edges) and edges[after] == e + 1:
+                after += 1
+            keep = e + 1 < len(self._t) and self._t[e + 1] >= e
+            degree = self.degree - (after - rank) + keep - splits[e - 1] - splits[e] + s
+            return degree, e, rank, after, keep, merged, s
+        # Splitting node v hands m of its kv internal children and j of its
+        # lv leaves to a new node v + 1: v keeps (kv - m + 1, lv - j).  Edge
+        # v now exists, edge v + 1 when old node v + 1 (v's first child,
+        # if edge v existed) moved, and each later edge moves up one rank.
+        rank -= len(edges)
         ends = list(accumulate(splits, initial=0))
         v = bisect_right(ends, rank)  # node v holds ranks ends[v - 1] .. ends[v] - 1
-        rank -= ends[v - 1]
-        k, l = profile[v - 1]
-        m, j, rank = _unrank_split(k, l, rank)
-        moved = None
-        if m:
-            moved = frozenset(_unrank_combination(_children(self.shape.t, v, k), m, rank))
-        grown = moved is not None and v + 1 in moved
-        i = bisect_left(edges, v)
-        had = i < len(edges) and edges[i] == v
-        lower, upper = (k - m + 1, l - j), (m, j)
+        kv, lv = k[v - 1], self._l[v - 1]
+        m, j, sub = _unrank_split(kv, lv, rank - ends[v - 1])
+        had = v < len(self._t) and self._t[v] == v
+        # v's first child leads the first comb(kv - 1, m - 1) moved m-subsets.
+        grown = had and m > 0 and sub < math.comb(kv - 1, m - 1)
+        lower, upper = (kv - m + 1, lv - j), (m, j)
         s_low, s_up = _memo_split_count(lower), _memo_split_count(upper)
-        return self._patched(
-            _refined(self.shape, v, moved, j),
-            edges[:i]
-            + ((v, v + 1) if grown else (v,))
-            + tuple([x + 1 for x in edges[i + had :]]),
-            profile[: v - 1] + (lower, upper) + profile[v:],
-            splits[: v - 1] + (s_low, s_up) + splits[v:],
-            self.degree + 1 - had + grown - splits[v - 1] + s_low + s_up,
-        )
+        degree = self.degree + 1 - had + grown - splits[v - 1] + s_low + s_up
+        return degree, v, sub, had, grown, lower, upper, s_low, s_up
 
-    def _collapse(self, rank: int) -> "Neighborhood":
-        # Collapsing edge e merges nodes e and e + 1 into node e: nodes
-        # below e keep their profile and later nodes move down one rank.
-        # Edge e + 1 goes; edge e stays when old node e + 2 hung off e or
-        # e + 1; each later edge moves down one rank.
-        edges, profile, splits = self.edges, self.profile, self.splits
-        e = edges[rank]
-        t = self.shape.t
-        (ke, le), (kf, lf) = profile[e - 1], profile[e]
-        merged = (ke - 1 + kf, le + lf)
-        s = _memo_split_count(merged)
-        after = rank + 1
-        if after < len(edges) and edges[after] == e + 1:
-            after += 1
-        keep = e + 1 < len(t) and t[e + 1] >= e
-        return self._patched(
-            collapse_edge(self.shape, e),
-            edges[:rank] + ((e,) if keep else ()) + tuple([x - 1 for x in edges[after:]]),
-            profile[: e - 1] + (merged,) + profile[e + 1 :],
-            splits[: e - 1] + (s,) + splits[e + 1 :],
-            self.degree - (after - rank) + keep - splits[e - 1] - splits[e] + s,
-        )
+    def _apply(self, plan: tuple) -> None:
+        t, l, k, edges, splits = self._t, self._l, self._k, self._edges, self._splits
+        self._shape = None
+        self.degree = plan[0]
+        if len(plan) == 7:
+            _, e, rank, after, keep, merged, s = plan
+            t[e:] = [p - 1 if p > e else p for p in t[e + 1 :]]
+            k[e - 1 : e + 1], l[e - 1 : e + 1] = [merged[0]], [merged[1]]
+            splits[e - 1 : e + 1] = [s]
+            edges[rank:] = ([e] if keep else []) + [x - 1 for x in edges[after:]]
+            return
+        _, v, sub, had, grown, lower, upper, s_low, s_up = plan
+        rest = [p if p <= v else p + 1 for p in t[v:]]
+        if m := upper[0]:
+            for c in _unrank_combination(_children(t, v, k[v - 1]), m, sub):
+                rest[c - v - 1] = v + 1
+        t[v:] = [v, *rest]
+        k[v - 1 : v], l[v - 1 : v] = zip(lower, upper)  # node v's new profile, then v + 1's
+        splits[v - 1 : v] = s_low, s_up
+        i = bisect_left(edges, v)
+        edges[i:] = ([v, v + 1] if grown else [v]) + [x + 1 for x in edges[i + had :]]
 
 
 def refinements_below(shape: TreeShape) -> set[TreeShape]:

@@ -22,8 +22,8 @@ checked exactly once, where it enters: ``TreeShape(t, l)``, ``from_text``,
 ``lub_fmatrix``, ``collapse_edge_fmatrix`` and the bulk text reader
 ``_text_columns``.  Every shape the package derives from checked data (a
 collapse, a split, a decoded F-matrix, a least upper bound, a generated
-or a sampled shape, or a chain's sample read back from the line that
-``to_text`` wrote) is built through ``TreeShape._trusted`` and not
+or a sampled shape, or a chain's sample read back from the canonical
+line ``_text`` wrote) is built through ``TreeShape._trusted`` and not
 checked again.
 """
 
@@ -346,6 +346,11 @@ class _Decimals(dict):
 _decimal = _Decimals().__getitem__
 
 
+def _text(t, l) -> str:
+    """The line ``to_text`` writes for the vectors ``t`` and ``l``."""
+    return ",".join(map(_decimal, t)) + "|" + ",".join(map(_decimal, l))
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class TreeShape:
     """Immutable canonical value for a ranked multifurcating tree shape.
@@ -400,7 +405,7 @@ class TreeShape:
 
     def to_text(self) -> str:
         """Compact form ``"t1,...,tK|l1,...,lK"``, e.g. ``"0|4"``."""
-        return ",".join(map(_decimal, self.t)) + "|" + ",".join(map(_decimal, self.l))
+        return _text(self.t, self.l)
 
     @classmethod
     def from_text(cls, text: str) -> "TreeShape":

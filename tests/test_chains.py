@@ -206,6 +206,20 @@ class TestRandomBelow:
         with pytest.raises(ValueError):
             random_below(rng_from(0), 0)
 
+    @pytest.mark.parametrize("n", [0, -1, -(2**40)])
+    def test_draw_loop_refuses_an_empty_range_unread(self, n):
+        # No r < n exists below 1, so the rejection loop would spin forever.
+        calls = itertools.count()
+
+        def word():
+            next(calls)
+            return 0
+
+        assert chains._below(word, 1) == 0
+        with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
+            chains._below(word, n)
+        assert next(calls) == 0
+
     @pytest.mark.parametrize("n", [2, 3, 10, 1525, 2**31, 2**32 - 1, 2**32, 2**40 + 3])
     def test_same_stream_as_array_draws(self, n):
         a, b = rng_from(n), rng_from(n)

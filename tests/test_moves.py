@@ -1,9 +1,10 @@
 """Patched neighbourhood moves, direct bit-generator draws and the
 one-step laws they give the three chains.
 
-A chain moves by ``Neighborhood.move(r)``, which patches the current
-neighbourhood instead of rebuilding it, and reads its randomness through
-the bit generator's ctypes interface.  These tests hold both to the
+A chain prices a proposal with ``Neighborhood._plan(r)`` and moves by
+patching its neighbourhood (``_apply``, or ``move(r)`` on a copy) instead
+of rebuilding it, and reads its randomness through the bit generator's
+ctypes interface.  These tests hold both to the
 construction they replace: a fresh ``Neighborhood`` of the moved-to
 shape, the rank order of the former ``neighbor(r)``, and the Generator
 calls ``rng.integers(0, 2**32, dtype=np.uint64)`` and ``rng.random()``.
@@ -205,6 +206,19 @@ def test_every_move_equals_a_fresh_build(n):
             assert fields(moved) == fields(Neighborhood(moved.shape))
             assert moved.shape == reference_neighbor(shape, r)
             assert nbhd.neighbor(r) == moved.shape
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_every_plan_prices_the_proposal_and_leaves_the_source(n):
+    for shape in generate_all(n):
+        nbhd = Neighborhood(shape)
+        before = fields(nbhd)
+        for r in range(nbhd.degree):
+            assert nbhd._plan(r)[0] == Neighborhood(reference_neighbor(shape, r)).degree
+            assert fields(nbhd) == before  # a plan never applied
+            nbhd.move(r)
+            assert fields(nbhd) == before
+        assert nbhd.shape is shape
 
 
 def rank_of(nbhd, y):

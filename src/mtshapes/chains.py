@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -80,9 +81,9 @@ KINDS = ("symmetric", "random-walk")
 # with K = N - 1.
 MAX_CHAIN_TIPS = 10_000
 
-# The exact paths are capped by a dense V x V float64 kernel, which the
-# symmetric chain's eigensolve holds.  N = 8 (1108 shapes, 9.8 MB) fits;
-# N = 9 (6092 shapes, 297 MB before the eigensolve's copies) does not.
+# The exact paths are capped by a dense V x V float64 kernel, which
+# exact_kernel builds and neither gap route holds.  N = 8 (1108 shapes,
+# 9.8 MB) fits; N = 9 (6092 shapes, 297 MB) does not.
 MAX_KERNEL_BYTES = 64 * 10**6
 # exact_bottleneck enumerates all 2^V subsets: N = 5 has 15 shapes, N = 6 has 54.
 MAX_BOTTLENECK_VERTICES = 15
@@ -428,8 +429,9 @@ def run_chains(
 # walk.  So pi is proportional to w, and the bottleneck ratio of S is
 # |boundary of S| / w(S).  _weights is the only place that reads the kind;
 # it checks w >= deg in integers, so pi P = pi exactly (`exact` prints a
-# residual of 0).  exact_gap solves the walk on one side of the graph's
-# bipartition by K and returns gaps to GAP_DIGITS certified digits.
+# residual of 0).  exact_gap returns gaps to GAP_DIGITS certified digits:
+# the walk's from one side of the graph's bipartition by K, the symmetric
+# chain's from Lanczos and Temple's bound on the covering graph's Laplacian.
 
 
 def _weights(graph: LatticeGraph, kind: str) -> np.ndarray:
@@ -529,12 +531,18 @@ def exact_bottleneck(graph: LatticeGraph, kind: str) -> BottleneckResult:
 
 @dataclass
 class GapResult:
-    """Spectral diagnostics of a reversible kernel."""
+    """Spectral diagnostics of a reversible kernel.  ``eigenvalues``, S's
+    spectrum, is solved on first read (the symmetric chain's densely), each
+    within delta; the walk's half-size ones near 0 within about sqrt(delta)."""
 
     gamma: float
     gamma_star: float
     t_rel: float
-    eigenvalues: np.ndarray
+    _spectrum: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return self._spectrum()
 
 
 GAP_DIGITS = 8  # significant digits of exact_gap's gamma, gamma_star and t_rel
@@ -550,43 +558,106 @@ def _certified(x: float, err: float) -> float:
 
 def exact_gap(graph: LatticeGraph, kind: str, lazy: bool = False) -> GapResult:
     """Gaps gamma = 1 - lambda_2, gamma_star = 1 - max(|lambda_min|,
-    lambda_2) and t_rel = 1/gamma_star of S = W^1/2 P W^-1/2 (similar to P).
+    lambda_2) and t_rel = 1/gamma_star of S = W^1/2 P W^-1/2 (similar to P),
+    rounded to GAP_DIGITS certified digits whatever the BLAS; gamma errs by
+    at most delta = V * 2^-52.  No cover joins two shapes of one parity of K.
 
     Where no shape holds (the walk), S = [[0, C], [C^T, 0]] across K's
     parity, with spectrum +-sigma(C) plus zeros: one eigvalsh(C C^T) on the
-    smaller side (529 x 529 at N = 8), and the plain walk is periodic
-    (gamma_star = 0, t_rel = inf exactly).  Else the dense S is solved.
-    Eigenvalues lie within delta = V * 2^-52 * ||S||, ||S|| <= 1 (LAPACK
-    Users' Guide 4.7), t_rel within delta / (gamma_star (gamma_star -
-    delta)); the three are rounded to GAP_DIGITS certified digits, whatever
-    the BLAS.  Half-size eigenvalues near 0 hold only to about sqrt(delta).
+    smaller side (529 x 529 at N = 8), within delta (LAPACK Users' Guide
+    4.7), and the plain walk is periodic (gamma_star = 0, t_rel = inf).
+    The symmetric chain (w = M_N = m) has S = I - L/c, L = D - A the
+    covering graph's Laplacian and c = m (2m lazy), so gamma = mu_2/c.
+    Lazy, S >= 0; else gamma_star = gamma needs mu_max <= 2m - mu_2, and
+    mu_max <= max over covers of deg x + deg y (Anderson and Morley, 1985).
     """
     w = _weights(graph, kind)
     delta = w.size * 2.0**-52
-    if no_hold := (w == np.add(*graph.degrees())).all():
-        odd = np.array([s.n_internal % 2 for s in graph.vertices], dtype=bool)
-        rows = odd if 2 * odd.sum() <= odd.size else ~odd
-        lower, upper = (np.array(e, dtype=np.intp) for e in _edges(graph))
-        pos = np.where(rows, np.cumsum(rows), np.cumsum(~rows)) - 1
-        r, c = np.where(rows[lower], lower, upper), np.where(rows[lower], upper, lower)
-        block = np.zeros((rows.sum(), rows.size - rows.sum()))
-        block[pos[r], pos[c]] = 1.0 / np.sqrt(w[lower] * w[upper])
-        sv = np.sqrt(np.clip(np.linalg.eigvalsh(block @ block.T), 0.0, None))
-        eig = np.concatenate([-sv[::-1], np.zeros(w.size - 2 * sv.size), sv])
-        eig = (1.0 + eig) / 2.0 if lazy else eig
-    else:
-        p = exact_kernel(graph, kind, lazy=lazy)
-        p *= np.sqrt(w)[:, None] / np.sqrt(w)
-        eig = np.linalg.eigvalsh(p)
+    deg = np.add(*graph.degrees())
+    odd = np.array([s.n_internal % 2 for s in graph.vertices], dtype=bool)
+    rows = odd if 2 * odd.sum() <= odd.size else ~odd
+    lower, upper = (np.array(e, dtype=np.intp) for e in _edges(graph))
+    if (w != deg).any():
+        m, c = w[0], w[0] * (1 + lazy)
+        lo, hi = _mu2_interval(graph, deg, rows, lower, upper, m * delta / 2)
+        if not lazy and (deg[lower] + deg[upper]).max() + hi > 2 * m:
+            raise ArithmeticError("|lambda_min| <= lambda_2 not certified")
+        # 2^-48 of the larger end covers the few roundings of both ends and these sums.
+        gamma = _certified((lo + hi) / (2 * c), (hi - lo) / (2 * c) + 2.0**-48 * hi / c)
+        t_rel = _certified((c / hi + c / lo) / 2, (c / lo - c / hi) / 2 + 2.0**-48 * c / lo)
+        dense = partial(exact_kernel, graph, kind, lazy=lazy)
+        return GapResult(gamma, gamma, t_rel, lambda: np.linalg.eigvalsh(dense()))
+    pos = np.where(rows, np.cumsum(rows), np.cumsum(~rows)) - 1
+    r, c = np.where(rows[lower], lower, upper), np.where(rows[lower], upper, lower)
+    block = np.zeros((rows.sum(), rows.size - rows.sum()))
+    block[pos[r], pos[c]] = 1.0 / np.sqrt(w[lower] * w[upper])
+    sv = np.sqrt(np.clip(np.linalg.eigvalsh(block @ block.T), 0.0, None))
+    eig = np.concatenate([-sv[::-1], np.zeros(w.size - 2 * sv.size), sv])
+    eig = (1.0 + eig) / 2.0 if lazy else eig
     gamma = float(1.0 - eig[-2])
-    gamma_star = gamma if no_hold else float(1.0 - max(abs(eig[0]), eig[-2]))
-    if no_hold and not lazy:  # periodic: -1 is an exact eigenvalue
+    if lazy:  # t_rel's error bound holds only while gamma > delta
+        err = delta / (gamma * (gamma - delta)) if gamma > delta else math.inf
+        t_rel, gamma_star = _certified(1.0 / gamma, err), _certified(gamma, delta)
+    else:  # periodic: -1 is an exact eigenvalue
         gamma_star, t_rel = 0.0, math.inf
-    else:  # t_rel's error bound holds only while gamma_star > delta
-        err = delta / (gamma_star * (gamma_star - delta)) if gamma_star > delta else math.inf
-        t_rel, gamma_star = _certified(1.0 / gamma_star, err), _certified(gamma_star, delta)
-    gamma = _certified(gamma, delta)
-    return GapResult(gamma=gamma, gamma_star=gamma_star, t_rel=t_rel, eigenvalues=eig)
+    return GapResult(_certified(gamma, delta), gamma_star, t_rel, lambda: eig)
+
+
+def _mu2_interval(
+    graph: LatticeGraph, deg: np.ndarray, small: np.ndarray, lower: np.ndarray, upper: np.ndarray, tol: float
+) -> tuple[float, float]:
+    """A certified [lo, hi], about 2 tol wide, around mu_2 of L, else
+    ArithmeticError (README, "exact"): for Lanczos's Ritz vector y, y* = y -
+    mean(y) 1 has Rayleigh quotient rho >= mu_2 and residual r <= ||L y -
+    rho y|| / ||y*||, so mu_2 >= rho - r^2 / (alpha - rho) (Temple) once
+    S_alpha = (D_K - alpha I) - B^T (D_E - alpha I)^-1 B, E the larger
+    parity class, has only two negative eigenvalues (Haynsworth)."""
+    v, dmax, cap = deg.size, deg.max(), deg[~small].min()
+    def lap(x):
+        return deg * x - np.bincount(lower, x[upper], v) - np.bincount(upper, x[lower], v)
+    # Lanczos, re-orthogonalised twice against the basis and 1 (no ghost of 1),
+    # until Temple's width by the recurrence is at most tol, or at k = V - 1.
+    z, basis, diag, off = np.sin(np.arange(1.0, v + 1)), np.empty((min(v, 64), v)), [], []
+    for k in range(v):
+        for _ in range(2):
+            z -= basis[:k].T @ (basis[:k] @ z)
+            z -= z.sum() / v
+        off.append(np.linalg.norm(z))
+        if k and (k % 16 == 0 or k == v - 1):
+            theta, vec = np.linalg.eigh(np.diag(diag) + np.diag(off[1:-1], -1))
+            theta2 = theta[1] if k > 1 else math.inf
+            if (off[-1] * vec[-1, 0]) ** 2 <= tol * (min(theta2, cap) - theta[0]) / 2 or k == v - 1:
+                break
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[k] = z / off[-1]
+        z = lap(basis[k])
+        diag.append(basis[k] @ z)
+    # A float sum of n <= V + 9 terms errs by g times their magnitudes (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 3.1); fsum rounds once.
+    # So rho is within 2^-50 of y^T L y / ||y||^2, ||y*||^2 = ||y||^2 - (sum
+    # y)^2 / V >= n2, y*'s quotient is within rho (1 +- eta), and lap(y) - rho
+    # y errs by at most g (2 dmax + rho) ||y||.
+    g, y = (v + 9) * 2.0**-52, basis[:k].T @ vec[:, 0]
+    del basis  # before S_alpha, which is as large
+    d, yy, s = y[lower] - y[upper], math.fsum(y * y), abs(math.fsum(y)) * (1 + 2.0**-50)
+    n2 = yy * (1 - 2.0**-50) - 2 * s * s / v
+    rho = math.fsum(d * d) / yy
+    eta = 2.0**-48 + 3 * s * s / (v * n2)
+    res = np.linalg.norm(lap(y) - rho * y) * (1 + g) + g * (2 * dmax + rho) * math.sqrt(yy)
+    r2, alpha, hi = res * res / n2, (rho + min(theta2, cap)) / 2, rho * (1 + eta)
+    lo = rho * (1 - eta) - r2 / (alpha - hi)
+    if 0 < lo and hi < alpha:
+        pos = np.cumsum(small) - 1
+        s_alpha = np.diag(deg[small] - alpha)
+        for e in np.flatnonzero(np.bincount(deg[~small])):  # E's degree-e shapes at once
+            nb = pos[[[*graph.up[i], *graph.down[i]] for i in np.flatnonzero(~small & (deg == e))]]
+            np.add.at(s_alpha, (nb[:, :, None], nb[:, None, :]), 1.0 / (alpha - e))
+        # eigvalsh and forming S_alpha each err by g ||S_alpha||, bounded by row sums.
+        lam = np.linalg.eigvalsh(s_alpha)
+        if lam.size < 3 or lam[2] > 2 * g * dmax * (1 + cap / (cap - alpha)):
+            return lo, hi
+    raise ArithmeticError(f"mu_3 >= {alpha!r} not certified: no Temple bound on mu_2")
 
 
 @dataclass

@@ -33,7 +33,7 @@ from mtshapes import (
     validate_fmatrix,
     validate_string,
 )
-from mtshapes import chains
+from mtshapes import chains, cli
 from mtshapes.chains import (
     ChainState,
     random_below,
@@ -1072,6 +1072,74 @@ class TestGapAndBounds:
         else:
             assert abs(gamma_star) <= delta
             assert (gap.gamma_star, gap.t_rel) == (0.0, math.inf)
+
+    @staticmethod
+    def mu2_interval(g, tol):
+        deg = np.add(*g.degrees())
+        odd = np.array([s.n_internal % 2 for s in g.vertices], dtype=bool)
+        small = odd if 2 * odd.sum() <= odd.size else ~odd
+        lower, upper = (np.array(e, dtype=np.intp) for e in chains._edges(g))
+        return chains._mu2_interval(g, deg, small, lower, upper, tol)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_symmetric_gap_matches_dense_oracle(self, n, hasse):
+        # The certified interval around mu_2 of the Laplacian L = m (I - P)
+        # holds the dense eigvalsh value, which is itself good to delta =
+        # V 2^-52 on S's scale, c delta on L's (c = m, or 2m when lazy).
+        # The interval's half-width is within the dense bound.
+        g = hasse[n] if n in hasse else build_hasse(n)
+        m, delta = max_degree(n), g.n_vertices * 2.0**-52
+        lo, hi = self.mu2_interval(g, m * delta / 2)
+        assert 0 < lo < hi <= lo + 2 * m * delta
+        for lazy, c in ((False, m), (True, 2 * m)):
+            ref = np.linalg.eigvalsh(exact_kernel(g, "symmetric", lazy=lazy))
+            assert lo - c * delta <= c * (1 - ref[-2]) <= hi + c * delta
+            gap = exact_gap(g, "symmetric", lazy=lazy)
+            gamma_star = 1 - max(abs(ref[0]), ref[-2])
+            assert gap.gamma == rounded(1 - ref[-2])
+            assert (gap.gamma_star, gap.t_rel) == (rounded(gamma_star), rounded(1 / gamma_star))
+            assert np.array_equal(gap.eigenvalues, ref)  # solved on read
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_symmetric_gap_refuses_alpha_above_mu3(self, n, hasse, monkeypatch, capsys):
+        # A Lanczos step whose tridiagonal eigensolve reports theta_2 = 2 a -
+        # mu_2 (below min deg(E) = 1 here) puts alpha = (rho + theta_2) / 2 at
+        # about a.  The Schur count certifies mu_3 >= alpha for a between
+        # mu_2 and mu_3, and refuses it between mu_3 and mu_4, where
+        # exact_gap prints nothing.
+        g = hasse[n] if n in hasse else build_hasse(n)
+        mu = max_degree(n) * (1 - np.linalg.eigvalsh(exact_kernel(g, "symmetric"))[::-1])
+        eigh = np.linalg.eigh
+
+        def ritz_step(t):
+            theta, vec = eigh(t)
+            return np.concatenate([theta[:1], [2 * a - mu[1]], theta[2:]]), vec
+
+        monkeypatch.setattr(chains.np.linalg, "eigh", ritz_step)
+        for a in ((mu[1] + mu[2]) / 2, (mu[2] + mu[3]) / 2):
+            assert 2 * a - mu[1] < 1
+            if a < mu[2]:
+                lo, hi = self.mu2_interval(g, 1e-12)
+                assert lo - 1e-12 <= mu[1] <= hi + 1e-12
+                continue
+            for lazy in (False, True):
+                with pytest.raises(ArithmeticError, match="not certified"):
+                    exact_gap(g, "symmetric", lazy=lazy)
+            with pytest.raises(ArithmeticError, match="not certified"):
+                cli.main(["exact", "--n", str(n), "--chain", "sym"])
+        assert capsys.readouterr().out == ""
+
+    def test_symmetric_gap_builds_no_dense_kernel(self):
+        # The dense route held a V x V kernel and its eigensolve's copy
+        # (19.8 MB traced at N = 8); the Lanczos route stays under half a kernel.
+        g = build_hasse(8)
+        tracemalloc.start()
+        try:
+            exact_gap(g, "symmetric", lazy=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * g.n_vertices**2 / 2
 
     def test_certified_rounding(self):
         assert chains._certified(0.1234567849, 1e-12) == 0.12345678

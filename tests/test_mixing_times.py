@@ -1,0 +1,120 @@
+"""Exact mixing times of the lazy chains at N = 4..8, against the paper's
+bound formulas (``mixing_bounds``) and against ``exact_gap``'s t_rel.
+
+t_mix is the least t with d(t) = max_x ||P^t(x, .) - pi||_TV <= 1/4.  As
+d never increases (Levin, Peres & Wilmer, *Markov Chains and Mixing
+Times*, 2nd ed., Exercise 4.2), a pinned t is t_mix exactly when
+d(t - 1) > 1/4 >= d(t).  At N <= 5 both distances are computed in
+``Fraction``; at N = 6..8 in floats, each with a stated error bound.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from mtshapes import build_hasse, exact_gap, exact_kernel, mixing_bounds, stationary_distribution
+from mtshapes import chains
+
+KINDS = ("symmetric", "random-walk")
+# Exact lazy t_mix(1/4) per chain and N.
+T_MIX = {
+    "symmetric": {4: 8, 5: 30, 6: 104, 7: 337, 8: 1332},
+    "random-walk": {4: 4, 5: 13, 6: 39, 7: 105, 8: 305},
+}
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return {n: build_hasse(n) for n in range(4, 9)}
+
+
+def fraction_distances(graph, kind, t):
+    """d(t - 1) and d(t) of the lazy chain, exactly: P(x, y) = 1/2w(x) on
+    covers and 1 - deg(x)/2w(x) on x, with pi proportional to w."""
+    w = chains._weights(graph, kind).tolist()
+    v = graph.n_vertices
+    p = np.full((v, v), Fraction(0), dtype=object)
+    for x in range(v):
+        ys = graph.up[x] + graph.down[x]
+        p[x, x] = 1 - Fraction(len(ys), 2 * w[x])
+        for y in ys:
+            p[x, y] = Fraction(1, 2 * w[x])
+    pi = np.array([Fraction(x, sum(w)) for x in w], dtype=object)
+    before = np.linalg.matrix_power(p, t - 1)
+    return [np.abs(q - pi).sum(axis=1).max() / 2 for q in (before, before @ p)]
+
+
+def float_distances(graph, kind, t):
+    """d(t - 1) and d(t) of the lazy chain in floats, and a bound on the
+    error of each.
+
+    Every entry of ``exact_kernel``'s lazy kernel is within relative
+    e0 = 2^-50 of its exact value (its diagonal is at least 1/2).  A float
+    product of nonnegative V x V matrices is within relative gamma_V =
+    V u / (1 - V u), u = 2^-53, of the product of its inputs, entry by entry
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.5), so
+    in any product tree each entry of P^t is within expm1(t (gamma_V +
+    e0)) = e_t of its own exact value, and a row's TV distance within
+    e_t / 2.  Rounding pi and summing adds at most u / 2 + gamma_(V+1) (1
+    + e_t).  The bound e_t + gamma_(V+2) covers both.
+    """
+    p = exact_kernel(graph, kind, lazy=True)
+    pi = stationary_distribution(graph, kind)
+    v = graph.n_vertices
+    gamma_n = lambda n: n * 2.0**-53 / (1 - n * 2.0**-53)  # noqa: E731
+    err = math.expm1(t * (gamma_n(v) + 2.0**-50)) + gamma_n(v + 2)
+    before = np.linalg.matrix_power(p, t - 1)
+    return [np.abs(q - pi).sum(axis=1).max() / 2 for q in (before, before @ p)], err
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_t_mix_in_fractions(kind, n, graphs):
+    before, at = fraction_distances(graphs[n], kind, T_MIX[kind][n])
+    assert before > Fraction(1, 4) >= at
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_t_mix_certified_in_floats(kind, n, graphs):
+    (before, at), err = float_distances(graphs[n], kind, T_MIX[kind][n])
+    assert err < 1e-9
+    # The least margin is at the N = 8 walk, 1.3e-4.
+    assert before - 0.25 > err and 0.25 - at > err
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_bound_formulas_against_t_mix(n):
+    # Lower formulas below t_mix, and the symmetric chain's upper formula
+    # above it; the walk's upper formula is checked below.
+    b = mixing_bounds(n)
+    assert b.symmetric_lower <= T_MIX["symmetric"][n] <= b.symmetric_lazy_upper
+    assert b.random_walk_lower <= T_MIX["random-walk"][n]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the lazy walk's exact t_mix exceeds 8 log(4 M_N G(N)): "
+    "105 > 74.4 at N=7 and 305 > 90.7 at N=8",
+)
+def test_lazy_walk_upper_bound_as_stated():
+    for n in range(4, 9):
+        assert T_MIX["random-walk"][n] <= mixing_bounds(n).random_walk_lazy_upper
+
+
+def test_lazy_walk_upper_bound_holds_only_below_seven():
+    upper = {n: round(mixing_bounds(n).random_walk_lazy_upper, 1) for n in range(4, 9)}
+    assert upper == {4: 32.8, 5: 45.6, 6: 59.6, 7: 74.4, 8: 90.7}
+    assert [n for n in upper if T_MIX["random-walk"][n] > upper[n]] == [7, 8]
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("kind", KINDS)
+def test_t_mix_within_relaxation_bounds(kind, n, graphs):
+    # (t_rel - 1) log 2 <= t_mix <= t_rel log(4 / pi_min) (Levin, Peres &
+    # Wilmer, Theorems 12.5 and 12.4), with the certified t_rel.
+    t_rel = exact_gap(graphs[n], kind, lazy=True).t_rel
+    pi_min = stationary_distribution(graphs[n], kind).min()
+    assert (t_rel - 1) * math.log(2) <= T_MIX[kind][n] <= t_rel * math.log(4 / pi_min)

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -43,7 +42,7 @@ from .enumeration import count_space
 from .lattice import (
     LatticeGraph,
     Neighborhood,
-    build_hasse,
+    build_hasse,  # noqa: F401  (kept importable: perfbench/tracing.py patches chains.build_hasse)
     max_degree,
     split_count,  # noqa: F401  (kept importable: perfbench counts calls through it)
 )
@@ -429,9 +428,10 @@ def run_chains(
 # walk.  So pi is proportional to w, and the bottleneck ratio of S is
 # |boundary of S| / w(S).  _weights is the only place that reads the kind;
 # it checks w >= deg in integers, so pi P = pi exactly (`exact` prints a
-# residual of 0).  exact_gap returns gaps to GAP_DIGITS certified digits:
-# the walk's from one side of the graph's bipartition by K, the symmetric
-# chain's from Lanczos and Temple's bound on the covering graph's Laplacian.
+# residual of 0).  exact_gap encloses the plain gap 1 - lambda_2, the walk's
+# from one side of the graph's bipartition by K, the symmetric chain's from
+# Lanczos and Temple's bound on the covering graph's Laplacian, and one tail
+# rounds every value it returns to GAP_DIGITS certified digits.
 
 
 def _weights(graph: LatticeGraph, kind: str) -> np.ndarray:
@@ -463,7 +463,7 @@ def _edges(graph: LatticeGraph) -> tuple[list[int], list[int]]:
     return lower, upper
 
 
-def exact_kernel(graph: LatticeGraph, kind: str, lazy: bool = False) -> np.ndarray:
+def exact_kernel(graph: LatticeGraph, kind: str) -> np.ndarray:
     """Dense transition matrix over ``graph.vertices``: 1/w(x) from x to
     each covering neighbour, and the rest of the row's mass on x."""
     w = _weights(graph, kind)
@@ -471,9 +471,6 @@ def exact_kernel(graph: LatticeGraph, kind: str, lazy: bool = False) -> np.ndarr
     lower, upper = _edges(graph)
     p = np.diag(1.0 - np.bincount(lower + upper, minlength=v) / w)
     p[lower + upper, upper + lower] = 1.0 / w[lower + upper]
-    if lazy:
-        p[np.diag_indices(v)] += 1.0
-        p /= 2.0
     return p
 
 
@@ -531,45 +528,40 @@ def exact_bottleneck(graph: LatticeGraph, kind: str) -> BottleneckResult:
 
 @dataclass
 class GapResult:
-    """Spectral diagnostics of a reversible kernel.  ``eigenvalues``, S's
-    spectrum, is solved on first read (the symmetric chain's densely), each
-    within delta; the walk's half-size ones near 0 within about sqrt(delta)."""
+    """Certified spectral diagnostics of a reversible kernel."""
 
     gamma: float
     gamma_star: float
     t_rel: float
-    _spectrum: Callable[[], np.ndarray] = field(repr=False, compare=False)
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return self._spectrum()
 
 
 GAP_DIGITS = 8  # significant digits of exact_gap's gamma, gamma_star and t_rel
 
 
-def _certified(x: float, err: float) -> float:
-    """``x`` to GAP_DIGITS digits, which all values within ``err`` share."""
-    lo, hi = (float(f"{y:.{GAP_DIGITS - 1}e}") for y in (x - err, x + err))
-    if lo != hi:
-        raise ArithmeticError(f"{x!r} +- {err:.1e} straddles a {GAP_DIGITS}-digit boundary")
-    return lo
+def _certified(lo: float, hi: float) -> float:
+    """The GAP_DIGITS-digit value that every point of [lo, hi] rounds to."""
+    a, b = (float(f"{y:.{GAP_DIGITS - 1}e}") for y in (lo, hi))
+    if a != b:
+        raise ArithmeticError(f"[{lo:.17g}, {hi:.17g}] straddles a {GAP_DIGITS}-digit boundary")
+    return a
 
 
 def exact_gap(graph: LatticeGraph, kind: str, lazy: bool = False) -> GapResult:
     """Gaps gamma = 1 - lambda_2, gamma_star = 1 - max(|lambda_min|,
     lambda_2) and t_rel = 1/gamma_star of S = W^1/2 P W^-1/2 (similar to P),
-    rounded to GAP_DIGITS certified digits whatever the BLAS; gamma errs by
-    at most delta = V * 2^-52.  No cover joins two shapes of one parity of K.
+    to GAP_DIGITS certified digits whatever the BLAS.  No cover joins two
+    shapes of one parity of K.
 
-    Where no shape holds (the walk), S = [[0, C], [C^T, 0]] across K's
-    parity, with spectrum +-sigma(C) plus zeros: one eigvalsh(C C^T) on the
-    smaller side (529 x 529 at N = 8), within delta (LAPACK Users' Guide
-    4.7), and the plain walk is periodic (gamma_star = 0, t_rel = inf).
-    The symmetric chain (w = M_N = m) has S = I - L/c, L = D - A the
-    covering graph's Laplacian and c = m (2m lazy), so gamma = mu_2/c.
-    Lazy, S >= 0; else gamma_star = gamma needs mu_max <= 2m - mu_2, and
-    mu_max <= max over covers of deg x + deg y (Anderson and Morley, 1985).
+    Each route encloses the plain chain's gap g in [lo, hi]; one tail
+    rounds.  Where no shape holds (the walk), S = [[0, C], [C^T, 0]] across
+    K's parity, with spectrum +-sigma(C) plus zeros: one eigvalsh(C C^T) on
+    the smaller side (529 x 529 at N = 8) gives each sigma^2 within delta =
+    V 2^-52 (LAPACK Users' Guide 4.7).  The symmetric chain (w = M_N = m)
+    has S = I - L/m, L = D - A the covering graph's Laplacian, so g =
+    mu_2/m.  Lazy, the gap is g/2 and S >= 0, so gamma_star = gamma.  Plain,
+    the walk is periodic (gamma_star = 0, t_rel = inf), and the symmetric
+    chain's gamma_star = gamma needs mu_max <= m (2 - g), where mu_max <= max
+    over covers of deg x + deg y (Anderson and Morley, 1985).
     """
     w = _weights(graph, kind)
     delta = w.size * 2.0**-52
@@ -577,30 +569,30 @@ def exact_gap(graph: LatticeGraph, kind: str, lazy: bool = False) -> GapResult:
     odd = np.array([s.n_internal % 2 for s in graph.vertices], dtype=bool)
     rows = odd if 2 * odd.sum() <= odd.size else ~odd
     lower, upper = (np.array(e, dtype=np.intp) for e in _edges(graph))
-    if (w != deg).any():
-        m, c = w[0], w[0] * (1 + lazy)
-        lo, hi = _mu2_interval(graph, deg, rows, lower, upper, m * delta / 2)
-        if not lazy and (deg[lower] + deg[upper]).max() + hi > 2 * m:
-            raise ArithmeticError("|lambda_min| <= lambda_2 not certified")
-        # 2^-48 of the larger end covers the few roundings of both ends and these sums.
-        gamma = _certified((lo + hi) / (2 * c), (hi - lo) / (2 * c) + 2.0**-48 * hi / c)
-        t_rel = _certified((c / hi + c / lo) / 2, (c / lo - c / hi) / 2 + 2.0**-48 * c / lo)
-        dense = partial(exact_kernel, graph, kind, lazy=lazy)
-        return GapResult(gamma, gamma, t_rel, lambda: np.linalg.eigvalsh(dense()))
-    pos = np.where(rows, np.cumsum(rows), np.cumsum(~rows)) - 1
-    r, c = np.where(rows[lower], lower, upper), np.where(rows[lower], upper, lower)
-    block = np.zeros((rows.sum(), rows.size - rows.sum()))
-    block[pos[r], pos[c]] = 1.0 / np.sqrt(w[lower] * w[upper])
-    sv = np.sqrt(np.clip(np.linalg.eigvalsh(block @ block.T), 0.0, None))
-    eig = np.concatenate([-sv[::-1], np.zeros(w.size - 2 * sv.size), sv])
-    eig = (1.0 + eig) / 2.0 if lazy else eig
-    gamma = float(1.0 - eig[-2])
-    if lazy:  # t_rel's error bound holds only while gamma > delta
-        err = delta / (gamma * (gamma - delta)) if gamma > delta else math.inf
-        t_rel, gamma_star = _certified(1.0 / gamma, err), _certified(gamma, delta)
-    else:  # periodic: -1 is an exact eigenvalue
-        gamma_star, t_rel = 0.0, math.inf
-    return GapResult(_certified(gamma, delta), gamma_star, t_rel, lambda: eig)
+    walk = (w == deg).all()
+    if walk:
+        pos = np.where(rows, np.cumsum(rows), np.cumsum(~rows)) - 1
+        r, c = np.where(rows[lower], lower, upper), np.where(rows[lower], upper, lower)
+        block = np.zeros((rows.sum(), rows.size - rows.sum()))
+        block[pos[r], pos[c]] = 1.0 / np.sqrt(w[lower] * w[upper])
+        sv = np.sqrt(np.linalg.eigvalsh(block @ block.T).clip(0.0))
+        # lambda_2 is sigma_2, else one of the V - 2 sv.size zeros, else (V = 2)
+        # -sigma_1.  s^2 within delta of sigma^2 gives |sigma - s| <= delta /
+        # (sigma + s) <= delta / max(s, sqrt(delta)); 2^-52 covers sqrt's rounding.
+        lam = sv[-2] if sv.size > 1 else -sv[0] if w.size == 2 else 0.0
+        err = delta / max(abs(lam), math.sqrt(delta)) + 2.0**-52
+        lo, hi = 1 - lam - err, 1 - lam + err
+    else:
+        m = int(w[0])
+        lo, hi = (mu / m for mu in _mu2_interval(graph, deg, rows, lower, upper, m * delta / 2))
+    # 2^-48 of each end covers its few roundings and those of 1/hi and 1/lo.
+    lo, hi = lo * (1 - 2.0**-48) / (1 + lazy), hi * (1 + 2.0**-48) / (1 + lazy)
+    if not lazy and walk:  # periodic: -1 is an exact eigenvalue
+        return GapResult(_certified(lo, hi), 0.0, math.inf)
+    if not lazy and int((deg[lower] + deg[upper]).max()) > int(w[0]) * (2 - Fraction(hi)):
+        raise ArithmeticError("|lambda_min| <= lambda_2 not certified")
+    gamma = _certified(lo, hi)
+    return GapResult(gamma, gamma, _certified(1 / hi, 1 / lo))
 
 
 def _mu2_interval(
@@ -662,7 +654,7 @@ def _mu2_interval(
 
 @dataclass
 class BoundReport:
-    """Mixing-time bound formulas (and optional exact small-N numbers)."""
+    """The four mixing-time bound formulas at one N."""
 
     n: int
     m_n: int
@@ -671,16 +663,9 @@ class BoundReport:
     symmetric_lazy_upper: float
     random_walk_lower: float
     random_walk_lazy_upper: float
-    exact: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        if out["exact"] is None:
-            del out["exact"]
-        return out
 
 
-def mixing_bounds(n: int, *, include_exact: bool = False) -> BoundReport:
+def mixing_bounds(n: int) -> BoundReport:
     """Evaluate the four mixing-time bound formulas at ``n``:
 
     * symmetric chain lower bound M_N / 4 (bottleneck at a degree-1 shape);
@@ -688,15 +673,14 @@ def mixing_bounds(n: int, *, include_exact: bool = False) -> BoundReport:
     * random-walk lower bound (diameter/2) = N - 3;
     * lazy random-walk upper bound 8 log(4 M_N G(N)).
 
-    With ``include_exact`` (n <= 8) the report also carries the lazy
-    spectral gaps and the diameter, and the exhaustive bottleneck ratios
-    while the space has at most ``MAX_BOTTLENECK_VERTICES`` shapes (n <= 5).
+    The exact small-N numbers to set them against come from
+    ``exact_gap`` and ``exact_bottleneck`` (``mtshapes bounds --exact``).
     """
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
     m_n = max_degree(n)
     g_n = count_space(n)
-    report = BoundReport(
+    return BoundReport(
         n=n,
         m_n=m_n,
         g_n=g_n,
@@ -705,17 +689,3 @@ def mixing_bounds(n: int, *, include_exact: bool = False) -> BoundReport:
         random_walk_lower=float(n - 3),
         random_walk_lazy_upper=8.0 * math.log(4 * m_n * g_n),
     )
-    if include_exact:
-        from .lattice import diameter as _diameter
-
-        graph = build_hasse(n)
-        exact = {"diameter": _diameter(graph)}
-        for kind in KINDS:
-            exact[kind] = {}
-            # As in `exact`, the ratio is omitted where subsets are refused.
-            if graph.n_vertices <= MAX_BOTTLENECK_VERTICES:
-                exact[kind]["phi_star"] = float(exact_bottleneck(graph, kind).phi_star)
-            gap = exact_gap(graph, kind, lazy=True)
-            exact[kind].update(lazy_gamma=float(gap.gamma), lazy_t_rel=float(gap.t_rel))
-        report.exact = exact
-    return report

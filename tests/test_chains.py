@@ -110,7 +110,7 @@ def scratch_degree(shape):
     return plus + sum(split_count(k, l) for k, l in shape.children_counts())
 
 
-def reference_kernel(graph, kind, lazy=False):
+def reference_kernel(graph, kind):
     """Dense kernel built row by row, one branch per kind."""
     v = graph.n_vertices
     p = np.zeros((v, v))
@@ -124,8 +124,6 @@ def reference_kernel(graph, kind, lazy=False):
         for i in range(v):
             nbrs = graph.neighbors(i)
             p[i, list(nbrs)] = 1.0 / len(nbrs)
-    if lazy:
-        p = (np.eye(v) + p) / 2.0
     return p
 
 
@@ -804,7 +802,7 @@ class TestRunChains:
         assert [s.n_tips for s in r.pooled()] == [chains.MAX_CHAIN_TIPS] * 2
 
 
-def dense_kernel(graph, kind, lazy):
+def dense_kernel(graph, kind):
     """``exact_kernel`` through a boolean V x V adjacency, as it was once
     built: each row is the adjacency over w(x), the diagonal 1 - deg/w."""
     w = chains._weights(graph, kind)
@@ -815,9 +813,6 @@ def dense_kernel(graph, kind, lazy):
     p = adj / w[:, None]
     diag = np.arange(v)
     p[diag, diag] = 1.0 - adj.sum(axis=1) / w
-    if lazy:
-        p[diag, diag] += 1.0
-        p /= 2.0
     return p
 
 
@@ -825,10 +820,10 @@ class TestExactKernels:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_bytes_match_dense_adjacency_route(self, n, hasse):
         g = hasse[n] if n in hasse else build_hasse(n)
-        for kind, lazy in itertools.product(["symmetric", "random-walk"], [False, True]):
-            p = exact_kernel(g, kind, lazy=lazy)
+        for kind in ["symmetric", "random-walk"]:
+            p = exact_kernel(g, kind)
             assert p.dtype == np.float64
-            assert p.tobytes() == dense_kernel(g, kind, lazy).tobytes()
+            assert p.tobytes() == dense_kernel(g, kind).tobytes()
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("kind", ["symmetric", "random-walk"])
@@ -864,12 +859,6 @@ class TestExactKernels:
         with pytest.raises(ValueError, match="isolated"):
             exact_kernel(hasse[2], "random-walk")
 
-    def test_lazy_halves_off_diagonal(self, hasse):
-        g = hasse[4]
-        p = exact_kernel(g, "random-walk")
-        lazy = exact_kernel(g, "random-walk", lazy=True)
-        assert np.allclose(lazy, (np.eye(g.n_vertices) + p) / 2)
-
     @pytest.mark.parametrize(
         "exact", [exact_kernel, stationary_distribution, exact_bottleneck, exact_gap]
     )
@@ -886,8 +875,7 @@ class TestExactKernels:
         if isinstance(sym, np.ndarray):
             assert np.array_equal(sym, rw)
         elif isinstance(sym, chains.GapResult):
-            assert (sym.gamma, sym.gamma_star, sym.t_rel) == (rw.gamma, rw.gamma_star, rw.t_rel)
-            assert np.array_equal(sym.eigenvalues, rw.eigenvalues)
+            assert sym == rw
         else:
             assert (sym.phi_star, sym.minimizers) == (rw.phi_star, rw.minimizers)
         with pytest.raises(ValueError, match="isolated shape"):
@@ -897,10 +885,7 @@ class TestExactKernels:
     @pytest.mark.parametrize("kind", ["symmetric", "random-walk"])
     def test_matches_row_by_row_reference(self, n, kind, hasse):
         g = hasse[n]
-        for lazy in (False, True):
-            assert np.array_equal(
-                exact_kernel(g, kind, lazy=lazy), reference_kernel(g, kind, lazy)
-            )
+        assert np.array_equal(exact_kernel(g, kind), reference_kernel(g, kind))
         assert np.array_equal(
             stationary_distribution(g, kind), reference_stationary(g, kind)
         )
@@ -1012,11 +997,14 @@ class TestBottleneck:
             exact_bottleneck(self.path_graph(16), "random-walk")
 
 
-def dense_walk_spectrum(graph, lazy):
-    """The walk's spectrum solved the dense way, as ``exact_gap`` once did:
-    the V x V kernel, the sqrt(pi) similarity, one eigvalsh."""
-    p = exact_kernel(graph, "random-walk", lazy=lazy)
-    root = np.sqrt(stationary_distribution(graph, "random-walk"))
+def oracle_spectrum(graph, kind, lazy):
+    """The spectrum solved the dense way, as ``exact_gap`` once did: the
+    V x V kernel (made lazy here as (P + I)/2), the sqrt(pi) similarity,
+    one eigvalsh.  Each eigenvalue is within delta = V 2^-52."""
+    p = exact_kernel(graph, kind)
+    if lazy:
+        p = (p + np.eye(graph.n_vertices)) / 2
+    root = np.sqrt(stationary_distribution(graph, kind))
     p *= root[:, None]
     p /= root[None, :]
     return np.linalg.eigvalsh(p)
@@ -1024,6 +1012,29 @@ def dense_walk_spectrum(graph, lazy):
 
 def rounded(x):
     return float(f"{x:.{chains.GAP_DIGITS - 1}e}")
+
+
+def check_against_oracle(g, kind, lazy, monkeypatch):
+    """``exact_gap``'s enclosures, read from its calls to ``_certified``,
+    hold the dense oracle's values within the oracle's own error delta,
+    and the values it returns are the oracle's rounded."""
+    enclosures = []
+    certified = chains._certified
+    monkeypatch.setattr(chains, "_certified", lambda lo, hi: enclosures.append((lo, hi)) or certified(lo, hi))
+    gap = exact_gap(g, kind, lazy=lazy)
+    ref, delta = oracle_spectrum(g, kind, lazy), g.n_vertices * 2.0**-52
+    gamma, gamma_star = 1 - ref[-2], 1 - max(abs(ref[0]), ref[-2])
+    (lo, hi), *t_rel = enclosures
+    assert lo <= hi and lo - delta <= gamma <= hi + delta
+    assert gap.gamma == rounded(gamma)
+    if t_rel:  # [1/hi, 1/lo] around 1/gamma_star
+        (lo, hi), = t_rel
+        assert 1 / hi - delta <= gamma_star <= 1 / lo + delta
+        assert (gap.gamma_star, gap.t_rel) == (rounded(gamma_star), rounded(1 / gamma_star))
+    else:  # the plain walk is periodic, and says so exactly
+        assert kind == "random-walk" or g.n == 3
+        assert not lazy and abs(gamma_star) <= delta
+        assert (gap.gamma_star, gap.t_rel) == (0.0, math.inf)
 
 
 class TestGapAndBounds:
@@ -1038,40 +1049,26 @@ class TestGapAndBounds:
 
     @pytest.mark.parametrize("kind", ["symmetric", "random-walk"])
     def test_lazy_eigenvalues_nonnegative(self, kind, hasse):
+        # The oracle's lazy spectrum is >= 0, which is why exact_gap's lazy
+        # gamma_star is its gamma.
+        assert oracle_spectrum(hasse[5], kind, lazy=True).min() >= -1e-12
         gap = exact_gap(hasse[5], kind, lazy=True)
-        assert gap.eigenvalues.min() >= -1e-12
-        assert gap.gamma == pytest.approx(gap.gamma_star)
+        assert gap.gamma == gap.gamma_star
 
     def test_nonlazy_walk_is_periodic(self, hasse):
         # the covering graph is bipartite by K, so -1 is an eigenvalue
+        assert oracle_spectrum(hasse[5], "random-walk", lazy=False).min() == pytest.approx(-1)
         gap = exact_gap(hasse[5], "random-walk")
-        assert gap.eigenvalues.min() == pytest.approx(-1)
-        assert gap.gamma_star == pytest.approx(0, abs=1e-10)
+        assert gap.gamma_star == 0.0
         assert gap.t_rel == math.inf
 
     @pytest.mark.parametrize("n", range(3, 9))
     @pytest.mark.parametrize("lazy", [False, True])
-    def test_half_size_walk_matches_dense_oracle(self, n, lazy, hasse):
+    def test_half_size_walk_matches_dense_oracle(self, n, lazy, hasse, monkeypatch):
+        # The half-size route's enclosure of 1 - sigma_2 holds the dense
+        # value, and the printed values are the dense ones rounded.
         g = hasse[n] if n in hasse else build_hasse(n)
-        delta = g.n_vertices * 2.0**-52
-        gap = exact_gap(g, "random-walk", lazy=lazy)
-        got, ref = gap.eigenvalues, dense_walk_spectrum(g, lazy)
-        assert got.shape == ref.shape
-        assert np.array_equal(got, np.sort(got))
-        # A half-size eigenvalue is a square root, so where the plain
-        # eigenvalue mu is near 0 only its square is good to delta.
-        mu, mu_ref = (2 * got - 1, 2 * ref - 1) if lazy else (got, ref)
-        assert np.abs(got - ref)[np.abs(mu_ref) >= 0.5].max() <= delta
-        assert np.abs(mu**2 - mu_ref**2).max() <= delta
-        # The unrounded gaps agree within delta, and round alike.
-        assert abs(got[-2] - ref[-2]) <= delta
-        assert gap.gamma == rounded(1 - ref[-2])
-        gamma_star = 1 - max(abs(ref[0]), ref[-2])
-        if lazy:
-            assert (gap.gamma_star, gap.t_rel) == (rounded(gamma_star), rounded(1 / gamma_star))
-        else:
-            assert abs(gamma_star) <= delta
-            assert (gap.gamma_star, gap.t_rel) == (0.0, math.inf)
+        check_against_oracle(g, "random-walk", lazy, monkeypatch)
 
     @staticmethod
     def mu2_interval(g, tol):
@@ -1081,24 +1078,22 @@ class TestGapAndBounds:
         lower, upper = (np.array(e, dtype=np.intp) for e in chains._edges(g))
         return chains._mu2_interval(g, deg, small, lower, upper, tol)
 
-    @pytest.mark.parametrize("n", range(4, 9))
-    def test_symmetric_gap_matches_dense_oracle(self, n, hasse):
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_symmetric_gap_matches_dense_oracle(self, n, hasse, monkeypatch):
         # The certified interval around mu_2 of the Laplacian L = m (I - P)
         # holds the dense eigvalsh value, which is itself good to delta =
-        # V 2^-52 on S's scale, c delta on L's (c = m, or 2m when lazy).
-        # The interval's half-width is within the dense bound.
+        # V 2^-52 on S's scale, m delta on L's.  The interval's half-width
+        # is within the dense bound.  (At N = 3, M_3 = 1 and the symmetric
+        # chain is the walk, which exact_gap solves on the walk's route.)
         g = hasse[n] if n in hasse else build_hasse(n)
         m, delta = max_degree(n), g.n_vertices * 2.0**-52
-        lo, hi = self.mu2_interval(g, m * delta / 2)
-        assert 0 < lo < hi <= lo + 2 * m * delta
-        for lazy, c in ((False, m), (True, 2 * m)):
-            ref = np.linalg.eigvalsh(exact_kernel(g, "symmetric", lazy=lazy))
-            assert lo - c * delta <= c * (1 - ref[-2]) <= hi + c * delta
-            gap = exact_gap(g, "symmetric", lazy=lazy)
-            gamma_star = 1 - max(abs(ref[0]), ref[-2])
-            assert gap.gamma == rounded(1 - ref[-2])
-            assert (gap.gamma_star, gap.t_rel) == (rounded(gamma_star), rounded(1 / gamma_star))
-            assert np.array_equal(gap.eigenvalues, ref)  # solved on read
+        if n > 3:
+            lo, hi = self.mu2_interval(g, m * delta / 2)
+            assert 0 < lo < hi <= lo + 2 * m * delta
+            ref = oracle_spectrum(g, "symmetric", lazy=False)
+            assert lo - m * delta <= m * (1 - ref[-2]) <= hi + m * delta
+        for lazy in (False, True):
+            check_against_oracle(g, "symmetric", lazy, monkeypatch)
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_symmetric_gap_refuses_alpha_above_mu3(self, n, hasse, monkeypatch, capsys):
@@ -1142,17 +1137,18 @@ class TestGapAndBounds:
         assert peak < 8 * g.n_vertices**2 / 2
 
     def test_certified_rounding(self):
-        assert chains._certified(0.1234567849, 1e-12) == 0.12345678
-        assert chains._certified(1.0, 1e-12) == 1.0
+        assert chains._certified(0.1234567849 - 1e-12, 0.1234567849 + 1e-12) == 0.12345678
+        assert chains._certified(1.0 - 1e-12, 1.0 + 1e-12) == 1.0
         with pytest.raises(ArithmeticError, match="straddles a 8-digit boundary"):
-            chains._certified(0.123456785, 1e-12)
+            chains._certified(0.123456785 - 1e-12, 0.123456785 + 1e-12)
 
-    def test_gap_refuses_an_uncertain_digit(self, hasse, monkeypatch):
-        # At 9 digits the lazy walk's t_rel at N = 7, 97.50985875029...,
-        # lies within its error bound of a rounding boundary.
-        monkeypatch.setattr(chains, "GAP_DIGITS", 9)
-        with pytest.raises(ArithmeticError, match="straddles a 9-digit boundary"):
-            exact_gap(hasse[7], "random-walk", lazy=True)
+    def test_gap_refuses_an_uncertain_digit(self, monkeypatch):
+        # At 10 digits the plain walk's gamma at N = 8, 0.0074287645884951
+        # +- 2.5e-13, lies within its error bound of a rounding boundary.
+        g = build_hasse(8)
+        monkeypatch.setattr(chains, "GAP_DIGITS", 10)
+        with pytest.raises(ArithmeticError, match="straddles a 10-digit boundary"):
+            exact_gap(g, "random-walk")
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_nonlazy_walk_has_eigenvalue_minus_one_exactly(self, n):
@@ -1184,17 +1180,3 @@ class TestGapAndBounds:
         b = mixing_bounds(n)
         assert b.symmetric_lower <= b.symmetric_lazy_upper
         assert b.random_walk_lower <= b.random_walk_lazy_upper
-
-    def test_include_exact_beyond_subset_cap(self, hasse):
-        b = mixing_bounds(6, include_exact=True)
-        assert b.exact["diameter"] == 7
-        for kind in ("symmetric", "random-walk"):
-            gap = exact_gap(hasse[6], kind, lazy=True)
-            assert b.exact[kind] == {"lazy_gamma": gap.gamma, "lazy_t_rel": gap.t_rel}
-
-    def test_include_exact(self):
-        b = mixing_bounds(5, include_exact=True)
-        assert b.exact["diameter"] == 5
-        sym = b.exact["symmetric"]
-        assert sym["phi_star"] == pytest.approx(4 / 35)
-        assert sym["lazy_gamma"] > 0

@@ -214,6 +214,22 @@ class TestBoundsAndExact:
         assert out.splitlines()[-1] == f"exact: {exact!r}"
         assert "np.float64" not in out
 
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_bounds_exact_is_the_lazy_exact_record(self, capsys, n):
+        # Both commands build each chain's fields through one helper: the
+        # bounds record's lazy gaps and bottleneck ratio are `exact --lazy`'s.
+        _, out, _ = run_cli(capsys, "bounds", "--n", str(n), "--exact", "--json")
+        bounds = json.loads(out)["exact"]
+        for chain, kind in (("sym", "symmetric"), ("rw", "random-walk")):
+            _, out, _ = run_cli(capsys, "exact", "--n", str(n), "--chain", chain, "--lazy", "--json")
+            exact = json.loads(out)
+            assert bounds["diameter"] == exact["diameter"]
+            want = {"lazy_gamma": exact["gamma"], "lazy_t_rel": exact["t_rel"]}
+            if n <= 5:  # at most MAX_BOTTLENECK_VERTICES shapes
+                want = {"phi_star": exact["phi_star"], **want}
+            assert bounds[kind] == want
+            assert list(bounds[kind]) == list(want)
+
     def test_exact_symmetric_at_three_tips(self, capsys):
         # Every shape at N = 3 has degree M_3 = 1: the symmetric chain is the walk.
         records = {}

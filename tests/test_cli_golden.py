@@ -220,6 +220,11 @@ GOLDEN = {
         "e191a14864ef9a23fdea6cbc483f23cd323590eb55ce7c2721ed0e712e48b427",
     ("bounds", "--n", "8", "--exact", "--json"):
         "acaae71ad032b2971a36df7d854712a2122703d379cade14e9c3867f7a0a1a43",
+    # N = 9 is past the kernel cap: exit 1 and the cap's message, no record.
+    ("bounds", "--n", "9", "--exact"):
+        "3083ab4165f6964cc6b1294aaf1ab9f6c44a751dc3d27fb6538427b765ac8a10",
+    ("bounds", "--n", "9", "--exact", "--json"):
+        "3083ab4165f6964cc6b1294aaf1ab9f6c44a751dc3d27fb6538427b765ac8a10",
     ("enumerate", "--n", "60"):
         "f3a71d64e6435027d9a917053a148f447a439b9824bbcf7c9f2ec150f923bccd",
     ("enumerate", "--n", "30", "--json"):

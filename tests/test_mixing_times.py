@@ -50,7 +50,7 @@ def float_distances(graph, kind, t):
     """d(t - 1) and d(t) of the lazy chain in floats, and a bound on the
     error of each.
 
-    Every entry of ``exact_kernel``'s lazy kernel is within relative
+    Every entry of the lazy kernel (P + I)/2, P from ``exact_kernel``, is within relative
     e0 = 2^-50 of its exact value (its diagonal is at least 1/2).  A float
     product of nonnegative V x V matrices is within relative gamma_V =
     V u / (1 - V u), u = 2^-53, of the product of its inputs, entry by entry
@@ -60,9 +60,9 @@ def float_distances(graph, kind, t):
     e_t / 2.  Rounding pi and summing adds at most u / 2 + gamma_(V+1) (1
     + e_t).  The bound e_t + gamma_(V+2) covers both.
     """
-    p = exact_kernel(graph, kind, lazy=True)
-    pi = stationary_distribution(graph, kind)
     v = graph.n_vertices
+    p = (exact_kernel(graph, kind) + np.eye(v)) / 2
+    pi = stationary_distribution(graph, kind)
     gamma_n = lambda n: n * 2.0**-53 / (1 - n * 2.0**-53)  # noqa: E731
     err = math.expm1(t * (gamma_n(v) + 2.0**-50)) + gamma_n(v + 2)
     before = np.linalg.matrix_power(p, t - 1)

@@ -77,7 +77,7 @@ CENSUS = {
         "step_mh_uniform": "demos/04_chains.py",
         "semi_random_init": "perfbench/workloads.py",
         "run_chains": PKG + "cli.py",
-        "exact_kernel": PKG + "chains.py",
+        "exact_kernel": "demos/04_chains.py",
         "stationary_distribution": "demos/04_chains.py",
         "exact_bottleneck": PKG + "cli.py",
         "exact_gap": PKG + "cli.py",

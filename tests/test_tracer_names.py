@@ -6,6 +6,7 @@ when a rename or deletion in ``mtshapes`` leaves the tracer's lists
 behind.  The tracer module is loaded by path and not edited.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -15,7 +16,8 @@ import pytest
 
 from mtshapes import TreeShape
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +46,24 @@ def test_spanned_methods_exist(tracing):
     assert tracing.SPANNED_METHODS
     missing = [a for a, _ in tracing.SPANNED_METHODS if not hasattr(TreeShape, a)]
     assert missing == []
+
+
+def test_unused_imports_are_the_tracers(tracing):
+    # An import kept only for the tracer (``# noqa: F401``) must name an
+    # attribute that the tracer patches in that very module, so that the
+    # note cannot outlive the tracer's need for it.
+    listed = {(m, a) for m, a, *_ in tracing.SPANNED + tracing.COUNTED}
+    kept, notes = [], 0
+    for path in sorted((ROOT / "src" / "mtshapes").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        notes += sum("# noqa: F401" in line for line in lines)
+        kept += [
+            (f"mtshapes.{path.stem}", alias.asname or alias.name)
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if "# noqa: F401" in lines[alias.lineno - 1]
+        ]
+    assert len(kept) == notes == 7
+    assert [k for k in kept if k not in listed] == []

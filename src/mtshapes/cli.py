@@ -32,7 +32,8 @@ from .chains import (
     semi_random_init,
     stationary_distribution,  # noqa: F401  (perfbench/tracing.py patches it here)
 )
-from .coalescent import BetaMeasure, sample_topologies
+from .coalescent import BetaMeasure, _draw_columns
+from .coalescent import sample_topologies  # noqa: F401  (perfbench/tracing.py patches it here)
 from .enumeration import (
     _check_count_tips,
     count_shapes,
@@ -47,7 +48,7 @@ from .lattice import (
     lattice_distance,
     lub,
 )
-from .shapes import TreeShape, _text_columns
+from .shapes import TreeShape, _text_columns, _text_lines
 from .treestats import (
     _Columns,
     _node_columns,
@@ -310,19 +311,12 @@ def cmd_sample_uniform(args) -> int:
     return 0
 
 
-# Draws sampled and written at a time.  Each draw reads its own slice of
-# the seeded stream, so the output does not depend on this size.
-_COALESCENT_CHUNK = 4096
-
-
 def cmd_sample_coalescent(args) -> int:
     measure = BetaMeasure.from_alpha(args.alpha)
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    # a count below 1 still makes one call, which refuses it
-    for done in range(0, max(args.count, 1), _COALESCENT_CHUNK):
-        chunk = min(_COALESCENT_CHUNK, args.count - done)
-        for shape in sample_topologies(args.n, measure, chunk, rng):
-            _emit(shape.to_text())
+    # each block is written from the sampler's columns; no shape is built
+    for columns in _draw_columns(args.n, measure, args.count, rng):
+        _emit(_text_lines(*columns))
     return 0
 
 

@@ -14,7 +14,9 @@ independent of the topology anyway.
 The sampler runs a block of draws in lockstep: each step takes the next
 event of every unfinished draw with a few numpy operations, and each
 draw reads its own fixed slice of the seeded stream, so the shapes are
-those of drawing one at a time.
+those of drawing one at a time.  A block ends as columns of parent ranks
+and leaf counts, from which ``sample_topologies`` builds its shapes and
+``sample-coalescent`` writes its lines.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from math import inf, lgamma
 
 import numpy as np
 
-from .chains import MAX_KERNEL_BYTES
 from .shapes import TreeShape
 
 __all__ = [
@@ -96,6 +97,8 @@ def merger_distribution(n_lineages: int, measure: BetaMeasure) -> np.ndarray:
 # block shrinks so that it never holds more than 2^20 uniforms (8 MB).
 _BLOCK_DRAWS = 512
 _BLOCK_UNIFORMS = 2**20
+# The merger table stays cached, so its size has a cap of its own.
+_MERGER_TABLE_BYTES = 64 * 10**6
 
 
 def _block_draws(n: int) -> int:
@@ -107,12 +110,12 @@ def _merger_table(n: int, measure: BetaMeasure) -> np.ndarray:
     """Row b (2 <= b <= n) holds the running sums of
     ``merger_distribution(b, measure)``, padded with inf to a power-of-two
     width so that a binary search never reads past its row.  It stays
-    cached, so its size is held to the kernels' budget (n <= 2048)."""
+    cached, so its size is capped (n <= 2048)."""
     width = 1 << int(n - 1).bit_length()
-    if (size := 8 * (int(n) + 1) * width) > MAX_KERNEL_BYTES:
+    if (size := 8 * (int(n) + 1) * width) > _MERGER_TABLE_BYTES:
         raise ValueError(
             f"merger table for n = {n} needs {size / 1e6:.0f} MB; "
-            f"cap is {MAX_KERNEL_BYTES // 10**6} MB (sampling takes n <= 2048)"
+            f"cap is {_MERGER_TABLE_BYTES // 10**6} MB (sampling takes n <= 2048)"
         )
     table = np.full((n + 1, width), inf)
     for b in range(2, n + 1):
@@ -138,10 +141,12 @@ def _merger_sizes(table: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray
     return at - row + 3
 
 
-def _lockstep(u: np.ndarray, table: np.ndarray) -> list[TreeShape]:
-    """The shapes of the draws whose uniforms are the rows of ``u``, each
-    row read as one draw reads its 3n uniforms.  Every unfinished draw
-    takes its next merger event in the same numpy step."""
+def _lockstep(u: np.ndarray, table: np.ndarray) -> tuple[list[int], ...]:
+    """The draws whose uniforms are the rows of ``u``, each row read as
+    one draw reads its 3n uniforms.  Every unfinished draw takes its next
+    merger event in the same numpy step.  Returns ``(t, l, ends, ks)``:
+    draw i is the shape whose vectors are ``t`` and ``l`` over
+    ``[ends[i] - ks[i], ends[i])``."""
     c, width = u.shape
     n = width // 3
     u = u.ravel()
@@ -198,11 +203,19 @@ def _lockstep(u: np.ndarray, table: np.ndarray) -> list[TreeShape]:
     # a draw's K nodes in rank order: the slots of events K, K - 1, .., 1
     ends = np.cumsum(n_events)
     nodes = np.repeat(row - 1 + ends, n_events) - np.arange(ends[-1])
-    t, l = up[nodes].tolist(), tips[nodes].tolist()
-    return [
-        TreeShape._trusted(tuple(t[e - K : e]), tuple(l[e - K : e]))
-        for e, K in zip(ends.tolist(), n_events.tolist())
-    ]
+    return up[nodes].tolist(), tips[nodes].tolist(), ends.tolist(), n_events.tolist()
+
+
+def _draw_columns(n: int, measure: BetaMeasure, count: int, rng: np.random.Generator):
+    """``_lockstep``'s columns for ``count`` draws, one block at a time."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    table = _merger_table(n, measure)
+    draws = _block_draws(n)
+    for done in range(0, count, draws):
+        yield _lockstep(rng.random((min(draws, count - done), 3 * n)), table)
 
 
 def sample_topologies(
@@ -217,14 +230,10 @@ def sample_topologies(
     their uniforms with one ``rng.random((draws, 3 * n))``, which reads
     the stream exactly as one ``rng.random(3 * n)`` per draw does; so a
     call for 25 draws and one for 45 give the same shapes as one for 70.
+    Each block ends as columns, and the shapes are built from them.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    table = _merger_table(n, measure)
-    draws = _block_draws(n)
-    out = []
-    for done in range(0, count, draws):
-        out += _lockstep(rng.random((min(draws, count - done), 3 * n)), table)
-    return out
+    return [
+        TreeShape._trusted(tuple(t[e - K : e]), tuple(l[e - K : e]))
+        for t, l, ends, ks in _draw_columns(n, measure, count, rng)
+        for e, K in zip(ends, ks)
+    ]

@@ -351,6 +351,17 @@ def _text(t, l) -> str:
     return ",".join(map(_decimal, t)) + "|" + ",".join(map(_decimal, l))
 
 
+def _text_lines(t, l, ends, ks) -> str:
+    """The ``_text`` lines, joined by newlines, of the shapes whose vectors
+    are ``t`` and ``l`` over ``[e - K, e)`` for each ``e, K`` in ``ends,
+    ks``: the columns of a block of coalescent draws.  Each value is made
+    a string once, not once per shape."""
+    t, l = list(map(_decimal, t)), list(map(_decimal, l))
+    return "\n".join(
+        ",".join(t[e - K : e]) + "|" + ",".join(l[e - K : e]) for e, K in zip(ends, ks)
+    )
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class TreeShape:
     """Immutable canonical value for a ranked multifurcating tree shape.

@@ -13,7 +13,7 @@ import pytest
 from mtshapes import TreeShape, chains, cli, count_space, covers, generate_all
 from mtshapes.chains import MAX_KERNEL_BYTES
 from mtshapes.cli import build_parser, main
-from mtshapes.coalescent import BetaMeasure, sample_topologies
+from mtshapes.coalescent import BetaMeasure, _block_draws, sample_topologies
 from mtshapes.enumeration import MAX_COUNT_TIPS, _pair_entries
 
 
@@ -335,6 +335,17 @@ def samples_unread(monkeypatch):
     monkeypatch.setattr(chains.RunResult, "samples", property(refuse))
 
 
+@pytest.fixture
+def shapes_unbuilt(monkeypatch):
+    """``TreeShape._trusted`` raises: the CLI writes the coalescent
+    sampler's columns without building a shape per draw."""
+
+    def refuse(cls, t, l):
+        raise AssertionError("TreeShape._trusted was called")
+
+    monkeypatch.setattr(TreeShape, "_trusted", classmethod(refuse))
+
+
 class TestSampling:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("args", list(UNIFORM_DIGESTS), ids=["text-n20"])
@@ -370,10 +381,23 @@ class TestSampling:
     @pytest.mark.parametrize(
         "args", list(COALESCENT_DIGESTS), ids=["n20", "n100-alpha0.5", "n3"]
     )
-    def test_coalescent_stdout_is_pinned(self, capsys, args):
+    def test_coalescent_stdout_is_pinned(self, capsys, shapes_unbuilt, args):
         code, out, err = run_cli(capsys, "sample-coalescent", *args)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == COALESCENT_DIGESTS[args]
+
+    @pytest.mark.parametrize("n, alpha", [(2, 1.0), (3, 1.0), (20, 1.0), (100, 0.5), (700, 1.0)])
+    def test_coalescent_stdout_is_the_shapes_text(self, capsys, n, alpha):
+        # around one block of the sampler (smaller at n = 700) and past 4,096
+        block = _block_draws(n)
+        for count in (block - 1, block, block + 1, 4097):
+            code, out, _ = run_cli(
+                capsys, "sample-coalescent", "--n", str(n), "--alpha", str(alpha),
+                "--count", str(count), "--seed", str(count),
+            )
+            rng = np.random.Generator(np.random.PCG64(count))
+            shapes = sample_topologies(n, BetaMeasure.from_alpha(alpha), count, rng)
+            assert code == 0 and out == "".join(s.to_text() + "\n" for s in shapes)
 
     def test_coalescent_streams(self, capsys, monkeypatch):
         # draws are made and written a chunk at a time, so a reader that

@@ -90,7 +90,7 @@ CENSUS = {
         "BetaMeasure": PKG + "cli.py",
         "UNIFORM_MEASURE": "demos/05_sampling.py",
         "merger_distribution": PKG + "coalescent.py",
-        "sample_topologies": PKG + "cli.py",
+        "sample_topologies": "demos/05_sampling.py",
     },
     "treestats": {
         "ShapeStats": PKG + "treestats.py",

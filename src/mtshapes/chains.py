@@ -450,17 +450,15 @@ def _weights(graph: LatticeGraph, kind: str) -> np.ndarray:
     return w
 
 
-def _edges(graph: LatticeGraph) -> tuple[list[int], list[int]]:
-    """The covering edges as lower and upper vertex lists, within the kernel cap."""
+def _edges(graph: LatticeGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The covering edges as lower and upper vertex arrays, within the kernel cap."""
     v = graph.n_vertices
     if 8 * v * v > MAX_KERNEL_BYTES:
         raise ValueError(
             f"dense kernel over {v} shapes needs {8 * v * v / 1e6:.0f} MB; "
             f"cap is {MAX_KERNEL_BYTES // 10**6} MB (exact analysis takes N <= 8)"
         )
-    lower = [i for i, ups in enumerate(graph.up) for _ in ups]
-    upper = [j for ups in graph.up for j in ups]
-    return lower, upper
+    return graph.lower, graph.upper
 
 
 def exact_kernel(graph: LatticeGraph, kind: str) -> np.ndarray:
@@ -469,8 +467,9 @@ def exact_kernel(graph: LatticeGraph, kind: str) -> np.ndarray:
     w = _weights(graph, kind)
     v = graph.n_vertices
     lower, upper = _edges(graph)
-    p = np.diag(1.0 - np.bincount(lower + upper, minlength=v) / w)
-    p[lower + upper, upper + lower] = 1.0 / w[lower + upper]
+    ends, others = np.concatenate([lower, upper]), np.concatenate([upper, lower])
+    p = np.diag(1.0 - np.bincount(ends, minlength=v) / w)
+    p[ends, others] = 1.0 / w[ends]
     return p
 
 
@@ -566,9 +565,9 @@ def exact_gap(graph: LatticeGraph, kind: str, lazy: bool = False) -> GapResult:
     w = _weights(graph, kind)
     delta = w.size * 2.0**-52
     deg = np.add(*graph.degrees())
-    odd = np.array([s.n_internal % 2 for s in graph.vertices], dtype=bool)
+    odd = graph.k % 2 == 1
     rows = odd if 2 * odd.sum() <= odd.size else ~odd
-    lower, upper = (np.array(e, dtype=np.intp) for e in _edges(graph))
+    lower, upper = _edges(graph)
     walk = (w == deg).all()
     if walk:
         pos = np.where(rows, np.cumsum(rows), np.cumsum(~rows)) - 1
@@ -640,10 +639,10 @@ def _mu2_interval(
     r2, alpha, hi = res * res / n2, (rho + min(theta2, cap)) / 2, rho * (1 + eta)
     lo = rho * (1 - eta) - r2 / (alpha - hi)
     if 0 < lo and hi < alpha:
-        pos = np.cumsum(small) - 1
+        pos, starts, nbs = np.cumsum(small) - 1, np.cumsum(deg) - deg, graph._neighbours()
         s_alpha = np.diag(deg[small] - alpha)
         for e in np.flatnonzero(np.bincount(deg[~small])):  # E's degree-e shapes at once
-            nb = pos[[[*graph.up[i], *graph.down[i]] for i in np.flatnonzero(~small & (deg == e))]]
+            nb = pos[nbs[starts[~small & (deg == e), None] + np.arange(e)]]
             np.add.at(s_alpha, (nb[:, :, None], nb[:, None, :]), 1.0 / (alpha - e))
         # eigvalsh and forming S_alpha each err by g ||S_alpha||, bounded by row sums.
         lam = np.linalg.eigvalsh(s_alpha)

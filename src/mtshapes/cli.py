@@ -241,8 +241,10 @@ def cmd_degree(args) -> int:
 
 def cmd_hasse(args) -> int:
     graph = build_hasse(args.n)
-    texts = [v.to_text() for v in graph.vertices]
-    lines = "".join(f"{texts[p]}\t{c}\n" for c, ups in zip(texts, graph.up) for p in ups)
+    inside = np.arange(graph.t.shape[1]) < graph.k[:, None]  # each row's first K entries
+    t, l = graph.t[inside].tolist(), graph.l[inside].tolist()
+    texts = _text_lines(t, l, np.cumsum(graph.k), graph.k.tolist()).split("\n")
+    lines = "".join(f"{texts[p]}\t{texts[c]}\n" for c, p in zip(graph.lower.tolist(), graph.upper.tolist()))
     if args.out is None:
         sys.stdout.write(lines)
     else:

@@ -22,7 +22,9 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator
 
-from .shapes import TreeShape, _min_leaves
+import numpy as np
+
+from .shapes import TreeShape
 
 __all__ = [
     "MAX_COUNT_TIPS",
@@ -213,14 +215,12 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     ]
 
 
-def generate_all(n: int, k: int | None = None) -> Iterator[TreeShape]:
-    """Stream every shape with ``n`` tips (optionally fixed ``k``) exactly
-    once, in lexicographic order on (K, t, l).
-
-    Refuses a request whose exact shape count (``count_space(n)``, or
-    ``count_shapes(n, k)``) exceeds ``MAX_GENERATED_SHAPES``; that count
-    is known before any shape is built.
-    """
+def _shape_columns(n: int, k: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every shape with ``n`` tips (optionally fixed ``k``) as integer
+    columns, in lexicographic order on (K, t, l): each shape's K, and its t
+    and l rows zero-padded to the largest K.  Refuses a request whose exact
+    shape count (``count_space(n)``, or ``count_shapes(n, k)``) exceeds
+    ``MAX_GENERATED_SHAPES``; that count is known before any row is built."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     ks = [kk for kk in (range(1, n) if k is None else [k]) if 1 <= kk <= n - 1]
@@ -240,9 +240,29 @@ def generate_all(n: int, k: int | None = None) -> Iterator[TreeShape]:
             f"exhaustive generation at {where} yields {size} shapes; "
             f"cap is MAX_GENERATED_SHAPES = {MAX_GENERATED_SHAPES}"
         )
-    compositions = functools.cache(_compositions)  # this call's table, keyed by (spare, K)
+    kcol, tcol, lcol = [], [], []
     for kk in ks:
-        for t in _t_vectors(kk, n):
-            mins = _min_leaves(t)
-            for extra in compositions(n - sum(mins), kk):
-                yield TreeShape._trusted(t, tuple(map(operator.add, mins, extra)))
+        wide = ((0, 0), (0, top - kk))
+        tk = np.array(list(_t_vectors(kk, n)), dtype=np.int64).reshape(-1, kk)
+        # Each t's rows: its least leaves (as _min_leaves) plus each composition of the rest.
+        mins = np.maximum(2 - (tk[:, 1:, None] == np.arange(1, kk + 1)).sum(axis=1), 0)
+        spare, at = np.unique(n - mins.sum(axis=1), return_inverse=True)
+        tabs = [np.pad(np.array(_compositions(s, kk), dtype=np.int64), wide) for s in spare.tolist()]
+        reps = np.array([len(tab) for tab in tabs])[at]
+        kcol += [kk] * int(reps.sum())
+        tcol.append(np.repeat(np.pad(tk, wide), reps, axis=0))
+        lcol.append(np.repeat(np.pad(mins, wide), reps, axis=0) + np.concatenate([tabs[i] for i in at.tolist()]))
+    empty = np.zeros((0, top), dtype=np.int64)
+    return np.array(kcol, dtype=np.int64), np.concatenate([empty, *tcol]), np.concatenate([empty, *lcol])
+
+
+def _column_shapes(ks: np.ndarray, t: np.ndarray, l: np.ndarray) -> Iterator[TreeShape]:
+    """The shapes whose K (ascending) and zero-padded rows are ``ks``, ``t`` and ``l``."""
+    for kk in dict.fromkeys(ks.tolist()):
+        yield from map(TreeShape._trusted, *(map(tuple, c[ks == kk, :kk].tolist()) for c in (t, l)))
+
+
+def generate_all(n: int, k: int | None = None) -> Iterator[TreeShape]:
+    """Stream every shape with ``n`` tips (optionally fixed ``k``) exactly once,
+    in lexicographic order on (K, t, l): ``_shape_columns``' rows, capped as there."""
+    yield from _column_shapes(*_shape_columns(n, k))

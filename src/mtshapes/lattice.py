@@ -15,12 +15,13 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .enumeration import generate_all
+from .enumeration import _column_shapes, _shape_columns
+from .enumeration import generate_all  # noqa: F401  (kept importable: perfbench/tracing.py spans lattice.generate_all)
 from .shapes import InvalidShapeError, TreeShape, collapse_edge, validate_fmatrix
 from .shapes import _checked_fmatrix, _child_counts, _delete_nodes, _fmatrix_vectors
 
@@ -286,8 +287,7 @@ def max_degree_tree(n: int) -> tuple[TreeShape, int]:
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
     k = (n - 2) // 2 + 1
-    shape = TreeShape._trusted((0,) + (1,) * (k - 1), (2 + n % 2,) + (2,) * (k - 1))
-    return shape, 1 + deg_minus(shape)
+    return TreeShape._trusted((0,) + (1,) * (k - 1), (2 + n % 2,) + (2,) * (k - 1)), max_degree(n)
 
 
 @functools.cache
@@ -299,7 +299,7 @@ def max_degree(n: int) -> int:
         raise ValueError(f"n must be >= 2, got {n}")
     if n < 4:
         return n - 2
-    return max_degree_tree(n)[1]
+    return 1 + split_count((n - 2) // 2, 2 + n % 2)  # max_degree_tree's, built from no shape
 
 
 # -- least upper bound ------------------------------------------------
@@ -373,34 +373,63 @@ def lattice_distance(a: TreeShape, b: TreeShape) -> int:
 # -- explicit Hasse graphs for small N ---------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeGraph:
-    """Covering relations over all shapes with ``n`` tips.
+    """Covering relations over all shapes with ``n`` tips, as integer columns.
 
-    ``vertices`` is sorted by (K, t, l); ``up[i]`` lists the vertices
-    covering vertex i (one collapse away, K - 1 internal nodes) and
-    ``down[i]`` the vertices it covers.
-    """
+    Vertex i has ``k[i]`` internal nodes and the rows ``t[i]`` and ``l[i]``,
+    zero-padded to the largest K, sorted by (K, t, l).  Edge e joins vertex
+    ``lower[e]`` to ``upper[e]``, which covers it (one collapse away, K - 1
+    internal nodes); edges are sorted by (lower, upper).  Derived on first
+    read: the shapes ``vertices``, ``up[i]`` (the vertices covering vertex
+    i), ``down[i]`` (the vertices it covers) and ``index`` (shape to i)."""
 
     n: int
-    vertices: tuple[TreeShape, ...]
-    up: tuple[tuple[int, ...], ...]
-    down: tuple[tuple[int, ...], ...]
-    index: dict[TreeShape, int] = field(repr=False)
+    k: np.ndarray
+    t: np.ndarray
+    l: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @functools.cached_property
+    def vertices(self) -> tuple[TreeShape, ...]:
+        return tuple(_column_shapes(self.k, self.t, self.l))
+
+    @functools.cached_property
+    def up(self) -> tuple[tuple[int, ...], ...]:
+        return self._grouped(self.lower, self.upper)
+
+    @functools.cached_property
+    def down(self) -> tuple[tuple[int, ...], ...]:
+        return self._grouped(self.upper, self.lower)
+
+    @functools.cached_property
+    def index(self) -> dict[TreeShape, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    def _grouped(self, keys: np.ndarray, values: np.ndarray) -> tuple[tuple[int, ...], ...]:
+        # per vertex i, the values of the edges whose key is i, in edge order
+        ends = np.cumsum(np.bincount(keys, minlength=self.n_vertices)).tolist()
+        values = values[np.argsort(keys, kind="stable")].tolist()
+        return tuple(tuple(values[a:b]) for a, b in zip([0, *ends], ends))
+
+    def _neighbours(self) -> np.ndarray:
+        # each vertex's up[i] + down[i] in turn: the edges both ways, stably sorted
+        order = np.argsort(np.concatenate([self.lower, self.upper]), kind="stable")
+        return np.concatenate([self.upper, self.lower])[order]
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.k)
 
     @property
     def n_edges(self) -> int:
-        return sum(len(u) for u in self.up)
+        return len(self.lower)
 
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """(forward, backward) degree per vertex, from the graph."""
-        plus = np.array([len(u) for u in self.up], dtype=np.int64)
-        minus = np.array([len(d) for d in self.down], dtype=np.int64)
-        return plus, minus
+        v = self.n_vertices
+        return np.bincount(self.lower, minlength=v), np.bincount(self.upper, minlength=v)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.up[i] + self.down[i]
@@ -413,24 +442,25 @@ class LatticeGraph:
 
 def build_hasse(n: int) -> LatticeGraph:
     """Materialize the covering graph over every shape with ``n`` tips
-    (``generate_all``'s cap applies: N <= 9).  Each present edge e of a parent
-    vector t is collapsed once; (t, l) covers the shape of that vector whose
-    leaves are l with l[e - 1] and l[e] merged."""
-    vertices = tuple(generate_all(n))
-    rows: dict[tuple, dict[tuple, int]] = {}  # t -> {l: vertex index}
-    for i, v in enumerate(vertices):
-        rows.setdefault(v.t, {})[v.l] = i
-    up, down = [], [[] for _ in vertices]
-    for t, row in rows.items():
-        edges = [e for e in range(1, len(t)) if t[e] == e]
-        collapsed = [(e, rows[t[:e] + tuple(p - (p > e) for p in t[e + 1 :])]) for e in edges]
-        for l, i in row.items():
-            ups = sorted(at[l[: e - 1] + (l[e - 1] + l[e],) + l[e + 1 :]] for e, at in collapsed)
-            up.append(tuple(ups))
-            for j in ups:
-                down[j].append(i)
-    index = {v: i for i, v in enumerate(vertices)}
-    return LatticeGraph(n, vertices, tuple(up), tuple(map(tuple, down)), index)
+    (``generate_all``'s cap applies: N <= 9) from ``_shape_columns``.  Each
+    row is one key, its K, t and l digits in base n + 1: it sorts like (K,
+    t, l), and is below (N + 1)^(2N - 1), under 2^63 for N <= 9.  For each
+    rank e, every row with the edge (e, e + 1) is collapsed at once (column
+    e dropped, parents above e lowered, l[e - 1] and l[e] merged), and its
+    cover is found by a sorted search of the keys."""
+    k, t, l = _shape_columns(n)
+    w = t.shape[1]
+    powers = (n + 1) ** np.arange(2 * w, -1, -1)
+    # A collapsed row's last t and l digits are padding: its keys skip them.
+    keys, short = np.column_stack([k, t, l]) @ powers, np.delete(powers, [w, 2 * w])
+    edges = [np.zeros((2, 0), dtype=np.intp)]
+    for e in range(1, w):
+        rows = np.flatnonzero(t[:, e] == e)
+        ct, cl = np.delete(t[rows], e, axis=1), np.delete(l[rows], e, axis=1)
+        cl[:, e - 1] += l[rows, e]
+        edges.append([rows, np.searchsorted(keys, np.column_stack([k[rows] - 1, ct - (ct > e), cl]) @ short)])
+    edges = np.concatenate(edges, axis=1)
+    return LatticeGraph(n, k, t, l, *edges[:, np.lexsort(edges[::-1])])
 
 
 def diameter(graph: LatticeGraph) -> int:
@@ -456,13 +486,8 @@ def _spread(graph: LatticeGraph, reach: np.ndarray) -> tuple[int, np.ndarray]:
     """OR each vertex's neighbours' rows of ``reach`` into its own row
     until nothing changes; return the number of levels that changed
     something and the final rows."""
-    plus, minus = graph.degrees()
-    deg = plus + minus
-    targets = np.fromiter(
-        (j for i in range(graph.n_vertices) for j in graph.neighbors(i)),
-        dtype=np.intp,
-        count=int(deg.sum()),
-    )
+    deg = np.add(*graph.degrees())
+    targets = graph._neighbours()
     # reduceat over the starts of the non-empty neighbour lists only: an
     # isolated vertex has nothing to OR in.
     linked = np.flatnonzero(deg)

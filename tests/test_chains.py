@@ -42,8 +42,9 @@ from mtshapes.chains import (
     step_random_walk,
     step_symmetric,
 )
-from mtshapes.lattice import LatticeGraph, Neighborhood, max_degree, split_count
+from mtshapes.lattice import Neighborhood, max_degree, split_count
 from mtshapes.shapes import _fmatrix_vectors
+from test_lattice import graph_from_covers
 from test_moves import reference_split
 
 
@@ -808,8 +809,9 @@ def dense_kernel(graph, kind):
     w = chains._weights(graph, kind)
     v = graph.n_vertices
     adj = np.zeros((v, v), dtype=bool)
-    lower, upper = chains._edges(graph)
-    adj[lower + upper, upper + lower] = True
+    for i, ups in enumerate(graph.up):
+        for j in ups:
+            adj[i, j] = adj[j, i] = True
     p = adj / w[:, None]
     diag = np.arange(v)
     p[diag, diag] = 1.0 - adj.sum(axis=1) / w
@@ -979,12 +981,11 @@ class TestBottleneck:
     def path_graph(v):
         """A hand-built path on ``v`` vertices: 0 - 1 - ... - (v - 1)."""
         shapes = tuple(TreeShape((0,), (m,)) for m in range(2, v + 2))
-        return LatticeGraph(
-            n=0,
-            vertices=shapes,
+        return graph_from_covers(
+            0,
+            shapes,
             up=tuple((i + 1,) if i + 1 < v else () for i in range(v)),
             down=tuple((i - 1,) if i else () for i in range(v)),
-            index={s: i for i, s in enumerate(shapes)},
         )
 
     def test_cap_is_fifteen_vertices(self):

@@ -15,6 +15,7 @@ from mtshapes.chains import MAX_KERNEL_BYTES
 from mtshapes.cli import build_parser, main
 from mtshapes.coalescent import BetaMeasure, _block_draws, sample_topologies
 from mtshapes.enumeration import MAX_COUNT_TIPS, _pair_entries
+from test_cli_golden import GOLDEN, observed
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +287,20 @@ class TestBoundsAndExact:
             assert set(exact[kind]) == {"lazy_gamma", "lazy_t_rel"}
             assert 0 < exact[kind]["lazy_gamma"] < 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exact", "--n", "8", "--chain", "rw", "--json"),
+            ("exact", "--n", "8", "--chain", "sym", "--lazy", "--json"),
+            ("hasse", "--n", "9", "--out", "{out}"),
+        ],
+        ids=" ".join,
+    )
+    def test_exact_path_builds_no_shape(self, shapes_unbuilt, tmp_path, argv):
+        # The covering graph stays in integer columns, so these commands
+        # write their pinned outputs while TreeShape._trusted refuses.
+        assert observed(argv, {"out": str(tmp_path / "out.tsv")}) == GOLDEN[argv]
+
     def test_exact_n9_exceeds_kernel_cap(self, capsys):
         code, out, err = run_cli(capsys, "exact", "--n", "9", "--chain", "rw")
         assert code == 1 and out == ""
@@ -338,7 +353,7 @@ def samples_unread(monkeypatch):
 @pytest.fixture
 def shapes_unbuilt(monkeypatch):
     """``TreeShape._trusted`` raises: the CLI writes the coalescent
-    sampler's columns without building a shape per draw."""
+    sampler's columns, or the covering graph's, without building a shape."""
 
     def refuse(cls, t, l):
         raise AssertionError("TreeShape._trusted was called")

@@ -408,6 +408,23 @@ class TestLatticeLaws:
         assert lattice_distance(a, c) <= d_ab + lattice_distance(b, c)
 
 
+def graph_from_covers(n, vertices, up, down):
+    """A hand-built ``LatticeGraph`` over ``vertices``, in which vertex i is
+    covered by the vertices ``up[i]`` and covers ``down[i]``.  Its columns
+    and edge arrays are written out from those lists, and the shapes and
+    lists that it derives on first read are checked against them."""
+    ks = np.array([v.n_internal for v in vertices], dtype=np.int64)
+    t, l = np.zeros((2, len(vertices), max(ks, default=1)), dtype=np.int64)
+    for i, v in enumerate(vertices):
+        t[i, : v.n_internal], l[i, : v.n_internal] = v.t, v.l
+    lower = np.array([i for i, ups in enumerate(up) for _ in ups], dtype=np.intp)
+    upper = np.array([j for ups in up for j in ups], dtype=np.intp)
+    g = lattice.LatticeGraph(n, ks, t, l, lower, upper)
+    assert (g.vertices, g.up, g.down) == (tuple(vertices), tuple(up), tuple(down))
+    assert g.index == {v: i for i, v in enumerate(vertices)}
+    return g
+
+
 def reference_build_hasse(n):
     """The covering graph built shape by shape through ``covers``, one
     collapse and one shape lookup per covering edge."""
@@ -418,13 +435,17 @@ def reference_build_hasse(n):
     for i, ups in enumerate(up):
         for j in ups:
             down[j].append(i)
-    return lattice.LatticeGraph(n, vertices, up, tuple(tuple(d) for d in down), index)
+    return graph_from_covers(n, vertices, up, tuple(tuple(d) for d in down))
 
 
 class TestHasse:
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_equals_the_cover_by_cover_build(self, n):
         got, want = lattice.build_hasse(n), reference_build_hasse(n)
+        assert got.vertices == tuple(generate_all(n))
+        # the edge arrays list the reference's cover pairs in its order
+        pairs = [(i, j) for i, ups in enumerate(want.up) for j in ups]
+        assert list(zip(got.lower.tolist(), got.upper.tolist())) == pairs
         assert got.n == want.n
         assert got.vertices == want.vertices
         assert got.up == want.up
@@ -525,9 +546,7 @@ class TestDiameter:
 
     def test_disconnected_graph(self):
         a, b = TreeShape((0,), (4,)), TreeShape((0, 1), (2, 2))
-        g = lattice.LatticeGraph(
-            n=4, vertices=(a, b), up=((), ()), down=((), ()), index={a: 0, b: 1}
-        )
+        g = graph_from_covers(4, (a, b), up=((), ()), down=((), ()))
         assert g.is_connected() is False
         with pytest.raises(ValueError, match="not connected"):
             diameter(g)
@@ -536,12 +555,8 @@ class TestDiameter:
         # 0 - 1 and 2 - 3 - 4: every vertex has a neighbour, yet no row of
         # the all-sources search ever fills.
         shapes = tuple(TreeShape((0,), (m,)) for m in range(2, 7))
-        g = lattice.LatticeGraph(
-            n=0,
-            vertices=shapes,
-            up=((1,), (), (3,), (4,), ()),
-            down=((), (0,), (), (2,), (3,)),
-            index={v: i for i, v in enumerate(shapes)},
+        g = graph_from_covers(
+            0, shapes, up=((1,), (), (3,), (4,), ()), down=((), (0,), (), (2,), (3,))
         )
         assert g.is_connected() is False
         with pytest.raises(ValueError, match="not connected"):

@@ -46,7 +46,7 @@ CENSUS = {
         "count_space": PKG + "chains.py",
         "count_labeled_ranked": "demos/02_enumeration.py",
         "count_labeled_binary": "demos/02_enumeration.py",
-        "generate_all": PKG + "lattice.py",
+        "generate_all": "demos/02_enumeration.py",
     },
     "lattice": {
         "present_edges": PKG + "lattice.py",
@@ -56,7 +56,7 @@ CENSUS = {
         "refinements_below": "demos/03_lattice.py",
         "deg_plus": PKG + "cli.py",
         "deg_minus": PKG + "cli.py",
-        "max_degree_tree": PKG + "lattice.py",
+        "max_degree_tree": "demos/03_lattice.py",
         "max_degree": PKG + "chains.py",
         "lub": PKG + "cli.py",
         "lub_fmatrix": "demos/03_lattice.py",

@@ -65,5 +65,5 @@ def test_unused_imports_are_the_tracers(tracing):
             for alias in node.names
             if "# noqa: F401" in lines[alias.lineno - 1]
         ]
-    assert len(kept) == notes == 8
+    assert len(kept) == notes == 9
     assert [k for k in kept if k not in listed] == []

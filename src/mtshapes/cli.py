@@ -243,7 +243,7 @@ def cmd_hasse(args) -> int:
     graph = build_hasse(args.n)
     inside = np.arange(graph.t.shape[1]) < graph.k[:, None]  # each row's first K entries
     t, l = graph.t[inside].tolist(), graph.l[inside].tolist()
-    texts = _text_lines(t, l, np.cumsum(graph.k), graph.k.tolist()).split("\n")
+    texts = _text_lines(t, l, np.cumsum(graph.k).tolist(), graph.k.tolist()).split("\n")
     lines = "".join(f"{texts[p]}\t{texts[c]}\n" for c, p in zip(graph.lower.tolist(), graph.upper.tolist()))
     if args.out is None:
         sys.stdout.write(lines)

@@ -44,7 +44,8 @@ MAX_GENERATED_SHAPES = 10_000
 #: Largest N that count_space and ``mtshapes enumerate`` accept, and largest
 #: K that count_shapes and pair_table accept.  Counting at K fills pair
 #: tables of about K^3/12 entries that stay cached for the life of the
-#: process: 95 MB at K = 150, 779 MB at K = 300.
+#: process: 31 MB at K = 150, 467 MB at K = 300 (what tracemalloc counts
+#: held after _pair_rows(K) and _weight_sums(K), CPython 3.11).
 MAX_COUNT_TIPS = 150
 
 
@@ -64,22 +65,33 @@ class PairTable:
 
 
 @functools.cache
-def _pair_entries(k: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    """Table ``k``, each entry of table ``k - 1`` pushed to its three
-    extensions (see ``pair_table``); table 1 is the lone node's (1, 0)."""
+def _pair_rows(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Table ``k`` as one run (start, counts) per k0 = 1, 2, ...: the counts
+    of the pairs (k0, k1) at j = 2 k0 + k1 = k + 1 + i for i = start,
+    start + 1, ...; table 1 is the lone node's (1, 0).  Each entry of table
+    ``k - 1`` is pushed to its three extensions (see ``pair_table``).  In
+    each table's own index i, (k0, k1) at i reaches (k0, k1 + 1) and
+    (k0 + 1, k1 - 1) at i, and (k0 + 1, k1) at i + 1, with weights k0,
+    k1 = k + i - 2 k0 and k - 1 - k0 - k1 = k0 - 1 - i.  So a run is three
+    aligned products of two runs of table ``k - 1``, gathered in C."""
     if k == 1:
-        return (((1, 0), 1),)
+        return ((0, (1,)),)
     # Fill the cache from the bottom up, so that the call for k - 1 below
     # is a hit and no call recurses more than one level at any k.
     for kk in range(2, k - 1):
-        _pair_entries(kk)
-    nxt = {}
-    for (k0, k1), a in _pair_entries(k - 1):
-        rest = k - 1 - k0 - k1
-        for pair, ways in ((k0, k1 + 1), k0), ((k0 + 1, k1 - 1), k1), ((k0 + 1, k1), rest):
-            if ways:
-                nxt[pair] = nxt.get(pair, 0) + a * ways
-    return tuple(sorted(nxt.items()))
+        _pair_rows(kk)
+    # Table k - 1's runs over i = -1 .. k - 2, zero off each run, between
+    # empty rows k0 = 0 and k0 = k - 1.
+    pad = [(0,) * (s + 1) + run + (0,) * (k - 1 - s - len(run)) for s, run in _pair_rows(k - 1)]
+    old = [(0,) * k, *pad, (0,) * k]
+    rows = []
+    for k0 in range(1, k):
+        s, e = max(2 * k0 - k - 1, 0), max(k0 - 1, 1)
+        absent = map(operator.mul, old[k0][s + 1 : e + 1], itertools.repeat(k0))
+        once = map(operator.mul, old[k0 - 1][s + 1 : e + 1], itertools.count(k + s + 2 - 2 * k0))
+        more = map(operator.mul, old[k0 - 1][s:e], itertools.count(k0 - 1 - s, -1))
+        rows.append((s, tuple(map(operator.add, absent, map(operator.add, once, more)))))
+    return tuple(rows)
 
 
 def pair_table(k: int) -> PairTable:
@@ -94,14 +106,11 @@ def pair_table(k: int) -> PairTable:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     _check_cap("k", k)
-    return PairTable(k=k, entries=_pair_entries(k))
-
-
-def _comb(n: int, k: int) -> int:
-    # Zero outside the usual range, including negative upper argument.
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+    rows = enumerate(_pair_rows(k), 1)
+    entries = tuple(
+        ((k0, k + 1 + i - 2 * k0), a) for k0, (s, run) in rows for i, a in enumerate(run, s)
+    )
+    return PairTable(k=k, entries=entries)
 
 
 def count_shapes(n: int, k: int) -> int:
@@ -115,17 +124,20 @@ def count_shapes(n: int, k: int) -> int:
     if not 1 <= k <= n - 1:
         return 0
     _check_cap("k", k)
-    return sum(a * _comb(n - j + k - 1, k - 1) for j, a in _weight_sums(k))
+    # A vector at j = k + 1 + i <= n gives C(n - j + k - 1, k - 1) shapes.
+    combs = map(math.comb, range(n - 2, k - 2, -1), itertools.repeat(k - 1))
+    return sum(map(operator.mul, _weight_sums(k)[: n - k], combs))
 
 
 @functools.cache
-def _weight_sums(k: int) -> tuple[tuple[int, int], ...]:
+def _weight_sums(k: int) -> tuple[int, ...]:
     # count_shapes sees a pair (k0, k1) only through j = 2*k0 + k1, so
-    # the table entries are summed per j once.
-    sums: dict[int, int] = {}
-    for (k0, k1), a in _pair_entries(k):
-        sums[2 * k0 + k1] = sums.get(2 * k0 + k1, 0) + a
-    return tuple(sorted(sums.items()))
+    # the runs are summed per j once: entry i holds j = k + 1 + i, and j
+    # runs to 2k - 2 (to k + 1 at k <= 2).
+    sums = [0] * max(k - 2, 1)
+    for s, run in _pair_rows(k):
+        sums[s : s + len(run)] = map(operator.add, sums[s : s + len(run)], run)
+    return tuple(sums)
 
 
 def _check_cap(name: str, value: int) -> None:

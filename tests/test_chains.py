@@ -997,6 +997,41 @@ class TestBottleneck:
         with pytest.raises(ValueError, match="over 16 vertices .* cap is 15$"):
             exact_bottleneck(self.path_graph(16), "random-walk")
 
+    @pytest.mark.parametrize("v", [1, 2, 3, 7, 12])
+    def test_subset_counts_match_a_count_per_subset(self, v):
+        # A random graph on v hand-built vertices, some edges written from
+        # the higher index down, and random weights: the doubled cut and
+        # volume of each mask equal its own count, edge by edge.
+        rng = np.random.default_rng(v)
+        pairs = [p for p in itertools.combinations(range(v), 2) if rng.random() < 0.5]
+        edges = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in pairs]
+        g = graph_from_covers(
+            0,
+            tuple(TreeShape((0,), (m,)) for m in range(2, v + 2)),
+            up=tuple(tuple(sorted(b for a, b in edges if a == i)) for i in range(v)),
+            down=tuple(tuple(sorted(a for a, b in edges if b == i)) for i in range(v)),
+        )
+        w = rng.integers(1, 100, size=v)
+        cut, vol = chains._cuts_and_volumes(g, w)
+        for s in range(2**v):
+            inside = [s >> i & 1 for i in range(v)]
+            assert cut[s] == sum(inside[a] != inside[b] for a, b in edges), s
+            assert vol[s] == sum(int(x) for x, b in zip(w, inside) if b), s
+        assert len(cut) == len(vol) == 2**v
+
+    @pytest.mark.parametrize("kind", ["symmetric", "random-walk"])
+    def test_subset_tables_stay_small(self, kind):
+        # 2^15 masks at N = 5: two int64 tables and their admissible part,
+        # with no 2^V x V member matrix (8.1 MB) behind them.
+        g = build_hasse(5)
+        tracemalloc.start()
+        try:
+            exact_bottleneck(g, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6
+
 
 def oracle_spectrum(graph, kind, lazy):
     """The spectrum solved the dense way, as ``exact_gap`` once did: the

@@ -14,7 +14,7 @@ from mtshapes import TreeShape, chains, cli, count_space, covers, generate_all
 from mtshapes.chains import MAX_KERNEL_BYTES
 from mtshapes.cli import build_parser, main
 from mtshapes.coalescent import BetaMeasure, _block_draws, sample_topologies
-from mtshapes.enumeration import MAX_COUNT_TIPS, _pair_entries
+from mtshapes.enumeration import MAX_COUNT_TIPS, _pair_rows
 from test_cli_golden import GOLDEN, observed
 
 
@@ -41,11 +41,11 @@ class TestEnumerate:
         assert (code, out, err) == (1, "", f"error: n must be >= 2, got {n}\n")
 
     def test_past_count_cap_refused_before_any_table(self, capsys):
-        _pair_entries.cache_clear()
+        _pair_rows.cache_clear()
         code, out, err = run_cli(capsys, "enumerate", "--n", str(MAX_COUNT_TIPS + 1))
         assert (code, out) == (1, "")
         assert err == "error: n must be <= MAX_COUNT_TIPS = 150, got 151\n"
-        assert _pair_entries.cache_info().currsize == 0
+        assert _pair_rows.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "argv, digest",

@@ -218,9 +218,33 @@ class TestAgainstReference:
             for n in range(2, 61):
                 assert count_shapes(n, k) == reference_count_shapes(n, k, entries), (n, k)
 
+    def test_rows_and_sums(self):
+        # Row k0 is a run of its pairs in order of k1, from i = start on;
+        # the sums hold every j = 2 k0 + k1 from k + 1 on.
+        assert enumeration._pair_rows(1) == ((0, (1,)),) and enumeration._weight_sums(1) == (1,)
+        for k, entries in reference_pair_tables(60):
+            rows = enumeration._pair_rows(k)
+            assert len(rows) == k - 1, k
+            got = [
+                ((k0, k + 1 + i - 2 * k0), a)
+                for k0, (s, run) in enumerate(rows, 1)
+                for i, a in enumerate(run, s)
+            ]
+            assert tuple(got) == entries, k
+            per_j = Counter()
+            for (k0, k1), a in entries:
+                per_j[2 * k0 + k1] += a
+            assert dict(enumerate(enumeration._weight_sums(k), k + 1)) == per_j, k
+
+    @pytest.mark.parametrize("k", [2, 59, 100, 150])
+    def test_counts_at_large_k(self, k):
+        entries = reference_pair_entries(k)
+        for n in range(2, 2 * k + 3):
+            assert count_shapes(n, k) == reference_count_shapes(n, k, entries), n
+
     def test_large_k_needs_no_deep_recursion(self):
         expected = reference_count_shapes(160, 150, reference_pair_entries(150))
-        enumeration._pair_entries.cache_clear()
+        enumeration._pair_rows.cache_clear()
         enumeration._weight_sums.cache_clear()
         limit = sys.getrecursionlimit()
         depth = len(inspect.stack(0))
@@ -234,11 +258,11 @@ class TestAgainstReference:
 
 class TestCountCap:
     def test_count_space_refuses_past_cap_before_any_table(self):
-        enumeration._pair_entries.cache_clear()
+        enumeration._pair_rows.cache_clear()
         n = enumeration.MAX_COUNT_TIPS + 1
         with pytest.raises(ValueError, match=f"^n must be <= MAX_COUNT_TIPS = 150, got {n}$"):
             count_space(n)
-        assert enumeration._pair_entries.cache_info().currsize == 0
+        assert enumeration._pair_rows.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "call",
@@ -249,7 +273,7 @@ class TestCountCap:
         def fail(k):
             raise AssertionError(f"table {k} built")
 
-        monkeypatch.setattr(enumeration, "_pair_entries", fail)
+        monkeypatch.setattr(enumeration, "_pair_rows", fail)
         monkeypatch.setattr(enumeration, "_weight_sums", fail)
         with pytest.raises(ValueError, match=r"^k must be <= MAX_COUNT_TIPS = 150, got \d+$"):
             call()
@@ -437,12 +461,12 @@ class TestGenerateAll:
 
     def test_large_k_refused_before_counting(self):
         # 2^(K-2) passes the cap at K = 16; no pair table that size is built
-        enumeration._pair_entries.cache_clear()
+        enumeration._pair_rows.cache_clear()
         with pytest.raises(ValueError, match=r"n=1000, k=500 yields at least 2\^498 shapes"):
             next(generate_all(1000, 500))
         with pytest.raises(ValueError, match=r"n=400 yields at least 2\^397 shapes"):
             next(generate_all(400))
-        assert enumeration._pair_entries.cache_info().currsize <= 15
+        assert enumeration._pair_rows.cache_info().currsize <= 15
 
     def test_lower_bound_behind_refusal(self):
         # The 2^(K-2) parent vectors with t_i in {i-2, i-1} each need exactly

@@ -30,6 +30,7 @@ the shares go back into chain order, so output never depends on P.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -81,7 +82,7 @@ KINDS = ("symmetric", "random-walk")
 MAX_CHAIN_TIPS = 10_000
 
 # The exact paths are capped by a dense V x V float64 kernel, which
-# exact_kernel builds and neither gap route holds.  N = 8 (1108 shapes,
+# exact_kernel builds and exact_gap does not hold.  N = 8 (1108 shapes,
 # 9.8 MB) fits; N = 9 (6092 shapes, 297 MB) does not.
 MAX_KERNEL_BYTES = 64 * 10**6
 # exact_bottleneck enumerates all 2^V subsets: N = 5 has 15 shapes, N = 6 has 54.
@@ -428,10 +429,10 @@ def run_chains(
 # walk.  So pi is proportional to w, and the bottleneck ratio of S is
 # |boundary of S| / w(S).  _weights is the only place that reads the kind;
 # it checks w >= deg in integers, so pi P = pi exactly (`exact` prints a
-# residual of 0).  exact_gap encloses the plain gap 1 - lambda_2, the walk's
-# from one side of the graph's bipartition by K, the symmetric chain's from
-# Lanczos and Temple's bound on the covering graph's Laplacian, and one tail
-# rounds every value it returns to GAP_DIGITS certified digits.
+# residual of 0).  So P = I - W^-1 L, L the covering graph's Laplacian,
+# and exact_gap encloses either chain's plain gap 1 - lambda_2 by one route,
+# Lanczos and Temple's bound on the pencil (L, W); one tail rounds every
+# value it returns to GAP_DIGITS certified digits.
 
 
 def _weights(graph: LatticeGraph, kind: str) -> np.ndarray:
@@ -558,46 +559,24 @@ def _certified(lo: float, hi: float) -> float:
 
 def exact_gap(graph: LatticeGraph, kind: str, lazy: bool = False) -> GapResult:
     """Gaps gamma = 1 - lambda_2, gamma_star = 1 - max(|lambda_min|,
-    lambda_2) and t_rel = 1/gamma_star of S = W^1/2 P W^-1/2 (similar to P),
-    to GAP_DIGITS certified digits whatever the BLAS.  No cover joins two
-    shapes of one parity of K.
+    lambda_2) and t_rel = 1/gamma_star of P = I - W^-1 L, to GAP_DIGITS
+    certified digits whatever the BLAS.  A cover that joins two shapes of
+    one parity of K raises ValueError.
 
-    Each route encloses the plain chain's gap g in [lo, hi]; one tail
-    rounds.  Where no shape holds (the walk), S = [[0, C], [C^T, 0]] across
-    K's parity, with spectrum +-sigma(C) plus zeros: one eigvalsh(C C^T) on
-    the smaller side (529 x 529 at N = 8) gives each sigma^2 within delta =
-    V 2^-52 (LAPACK Users' Guide 4.7).  The symmetric chain (w = M_N = m)
-    has S = I - L/m, L = D - A the covering graph's Laplacian, so g =
-    mu_2/m.  Lazy, the gap is g/2 and S >= 0, so gamma_star = gamma.  Plain,
-    the walk is periodic (gamma_star = 0, t_rel = inf), and the symmetric
-    chain's gamma_star = gamma needs mu_max <= m (2 - g), where mu_max <= max
-    over covers of deg x + deg y (Anderson and Morley, 1985).
+    For either kind the plain gap g is mu_2 of W^-1/2 L W^-1/2, enclosed by
+    ``_mu2_interval``; one tail rounds.  Lazy, the gap is g/2 and P >= 0, so
+    gamma_star = gamma.  Plain, the walk (w = deg) is periodic (gamma_star =
+    0, t_rel = inf), and the symmetric chain's gamma_star = gamma needs
+    mu_max(L) <= M_N (2 - g), where mu_max is at most the largest deg x +
+    deg y over covers (Anderson and Morley, 1985).
     """
     w = _weights(graph, kind)
-    delta = w.size * 2.0**-52
-    deg = np.add(*graph.degrees())
-    odd = graph.k % 2 == 1
-    rows = odd if 2 * odd.sum() <= odd.size else ~odd
     lower, upper = _edges(graph)
-    walk = (w == deg).all()
-    if walk:
-        pos = np.where(rows, np.cumsum(rows), np.cumsum(~rows)) - 1
-        r, c = np.where(rows[lower], lower, upper), np.where(rows[lower], upper, lower)
-        block = np.zeros((rows.sum(), rows.size - rows.sum()))
-        block[pos[r], pos[c]] = 1.0 / np.sqrt(w[lower] * w[upper])
-        sv = np.sqrt(np.linalg.eigvalsh(block @ block.T).clip(0.0))
-        # lambda_2 is sigma_2, else one of the V - 2 sv.size zeros, else (V = 2)
-        # -sigma_1.  s^2 within delta of sigma^2 gives |sigma - s| <= delta /
-        # (sigma + s) <= delta / max(s, sqrt(delta)); 2^-52 covers sqrt's rounding.
-        lam = sv[-2] if sv.size > 1 else -sv[0] if w.size == 2 else 0.0
-        err = delta / max(abs(lam), math.sqrt(delta)) + 2.0**-52
-        lo, hi = 1 - lam - err, 1 - lam + err
-    else:
-        m = int(w[0])
-        lo, hi = (mu / m for mu in _mu2_interval(graph, deg, rows, lower, upper, m * delta / 2))
+    lo, hi = _mu2_interval(graph, w, w.size * 2.0**-53)
     # 2^-48 of each end covers its few roundings and those of 1/hi and 1/lo.
     lo, hi = lo * (1 - 2.0**-48) / (1 + lazy), hi * (1 + 2.0**-48) / (1 + lazy)
-    if not lazy and walk:  # periodic: -1 is an exact eigenvalue
+    deg = np.add(*graph.degrees())
+    if not lazy and (w == deg).all():  # periodic: -1 is an exact eigenvalue
         return GapResult(_certified(lo, hi), 0.0, math.inf)
     if not lazy and int((deg[lower] + deg[upper]).max()) > int(w[0]) * (2 - Fraction(hi)):
         raise ArithmeticError("|lambda_min| <= lambda_2 not certified")
@@ -605,25 +584,28 @@ def exact_gap(graph: LatticeGraph, kind: str, lazy: bool = False) -> GapResult:
     return GapResult(gamma, gamma, _certified(1 / hi, 1 / lo))
 
 
-def _mu2_interval(
-    graph: LatticeGraph, deg: np.ndarray, small: np.ndarray, lower: np.ndarray, upper: np.ndarray, tol: float
-) -> tuple[float, float]:
-    """A certified [lo, hi], about 2 tol wide, around mu_2 of L, else
-    ArithmeticError (README, "exact"): for Lanczos's Ritz vector y, y* = y -
-    mean(y) 1 has Rayleigh quotient rho >= mu_2 and residual r <= ||L y -
-    rho y|| / ||y*||, so mu_2 >= rho - r^2 / (alpha - rho) (Temple) once
-    S_alpha = (D_K - alpha I) - B^T (D_E - alpha I)^-1 B, E the larger
-    parity class, has only two negative eigenvalues (Haynsworth)."""
-    v, dmax, cap = deg.size, deg.max(), deg[~small].min()
+def _mu2_interval(graph: LatticeGraph, w: np.ndarray, tol: float) -> tuple[float, float]:
+    """A certified [lo, hi], about 2 tol + 2^-47 mu_2 wide, around mu_2 of M =
+    W^-1/2 L W^-1/2, else ArithmeticError (README, "exact"): for Lanczos's
+    Ritz vector y and x = W^-1/2 y, y* = W^1/2 (x - (w.x / sum w) 1) has
+    Rayleigh quotient rho >= mu_2 and residual r <= ||W^-1/2 (L x - rho W x)||
+    / ||y*||, so mu_2 >= rho - r^2 / (alpha - rho) (Temple) once S_alpha =
+    (D_K - alpha W_K) - B^T (D_E - alpha W_E)^-1 B, E the larger parity
+    class, has only two negative eigenvalues (Haynsworth)."""
+    deg, lower, upper, odd = np.add(*graph.degrees()), graph.lower, graph.upper, graph.k % 2 == 1
+    if (odd[lower] == odd[upper]).any():
+        raise ValueError("a cover joins two shapes of one parity of K")
+    small, root = odd if 2 * odd.sum() <= odd.size else ~odd, np.sqrt(w)
+    v, unit, cap = deg.size, root / np.linalg.norm(root), (deg / w)[~small].min()
     def lap(x):
         return deg * x - np.bincount(lower, x[upper], v) - np.bincount(upper, x[lower], v)
-    # Lanczos, re-orthogonalised twice against the basis and 1 (no ghost of 1),
-    # until Temple's width by the recurrence is at most tol, or at k = V - 1.
+    # Lanczos on M, re-orthogonalised twice against the basis and M's null vector
+    # unit (no ghost of it), until Temple's width by the recurrence is at most tol.
     z, basis, diag, off = np.sin(np.arange(1.0, v + 1)), np.empty((min(v, 64), v)), [], []
     for k in range(v):
         for _ in range(2):
             z -= basis[:k].T @ (basis[:k] @ z)
-            z -= z.sum() / v
+            z -= unit * (unit @ z)
         off.append(np.linalg.norm(z))
         if k and (k % 16 == 0 or k == v - 1):
             theta, vec = np.linalg.eigh(np.diag(diag) + np.diag(off[1:-1], -1))
@@ -633,31 +615,47 @@ def _mu2_interval(
         if k == len(basis):
             basis = np.concatenate([basis, np.empty_like(basis)])
         basis[k] = z / off[-1]
-        z = lap(basis[k])
+        z = lap(basis[k] / root) / root
         diag.append(basis[k] @ z)
     # A float sum of n <= V + 9 terms errs by g times their magnitudes (Higham,
     # Accuracy and Stability of Numerical Algorithms, 3.1); fsum rounds once.
-    # So rho is within 2^-50 of y^T L y / ||y||^2, ||y*||^2 = ||y||^2 - (sum
-    # y)^2 / V >= n2, y*'s quotient is within rho (1 +- eta), and lap(y) - rho
-    # y errs by at most g (2 dmax + rho) ||y||.
-    g, y = (v + 9) * 2.0**-52, basis[:k].T @ vec[:, 0]
+    # For the stored x: rho is within 2^-49 of x^T L x / x^T W x; |w.x| <= s, as
+    # sum |w x| <= (sum w  yy)^1/2; ||y*||^2 = x^T W x - (w.x)^2 / sum w >= n2;
+    # y*'s quotient is within rho (1 +- eta); and W^-1/2 (lap(x) - rho w x) errs
+    # by at most g (2 + rho) ||y||, as ||W^-1/2 |L| W^-1/2|| <= max 2 deg/w <= 2.
+    g, x = (v + 9) * 2.0**-52, basis[:k].T @ vec[:, 0] / root
     del basis  # before S_alpha, which is as large
-    d, yy, s = y[lower] - y[upper], math.fsum(y * y), abs(math.fsum(y)) * (1 + 2.0**-50)
-    n2 = yy * (1 - 2.0**-50) - 2 * s * s / v
+    total, d, wx = int(w.sum()), x[lower] - x[upper], w * x
+    yy = math.fsum(wx * x)
     rho = math.fsum(d * d) / yy
-    eta = 2.0**-48 + 3 * s * s / (v * n2)
-    res = np.linalg.norm(lap(y) - rho * y) * (1 + g) + g * (2 * dmax + rho) * math.sqrt(yy)
-    r2, alpha, hi = res * res / n2, (rho + min(theta2, cap)) / 2, rho * (1 + eta)
+    s = abs(math.fsum(wx)) * (1 + 2.0**-50) + 2.0**-52 * math.sqrt(total * yy)
+    n2 = yy * (1 - 2.0**-50) - 2 * s * s / total
+    eta = 2.0**-48 + 3 * s * s / (total * n2)
+    res = np.linalg.norm((lap(x) - rho * wx) / root) * (1 + g) + g * (2 + rho) * math.sqrt(yy)
+    # At V = 2, M's only eigenvalues are 0 and mu_2: no mu_3 bounds alpha.
+    alpha = (rho + min(theta2, cap)) / 2 if v > 2 else math.inf
+    r2, hi = res * res / n2, rho * (1 + eta)
     lo = rho * (1 - eta) - r2 / (alpha - hi)
     if 0 < lo and hi < alpha:
+        if small.sum() < 3:  # at most two eigenvalues of S_alpha (or of M) to count
+            return lo, hi
         pos, starts, nbs = np.cumsum(small) - 1, np.cumsum(deg) - deg, graph._neighbours()
-        s_alpha = np.diag(deg[small] - alpha)
+        s_alpha = np.diag(deg[small] - alpha * w[small])
         for e in np.flatnonzero(np.bincount(deg[~small])):  # E's degree-e shapes at once
-            nb = pos[nbs[starts[~small & (deg == e), None] + np.arange(e)]]
-            np.add.at(s_alpha, (nb[:, :, None], nb[:, None, :]), 1.0 / (alpha - e))
-        # eigvalsh and forming S_alpha each err by g ||S_alpha||, bounded by row sums.
-        lam = np.linalg.eigvalsh(s_alpha)
-        if lam.size < 3 or lam[2] > 2 * g * dmax * (1 + cap / (cap - alpha)):
+            big = ~small & (deg == e)
+            nb = pos[nbs[starts[big, None] + np.arange(e)]]
+            np.add.at(s_alpha, (nb[:, :, None], nb[:, None, :]), 1.0 / (alpha * w[big] - e)[:, None, None])
+        # S_alpha has at most two negative eigenvalues if T = S_alpha + c (u u^T +
+        # z z^T) - tau I > 0 (u, z the unit constant and Ritz vectors on K), as a
+        # PSD rank-2 update moves at most two eigenvalues past 0.  Forming S_alpha
+        # errs by g c, c = max w (1 + cap / (cap - alpha)) >= its row sums, and a
+        # successful Cholesky of T proves T + (g / 2) tr(T) I >= 0 (Rump, 2006).
+        c, z = w.max() * (1 + cap / (cap - alpha)), x[small] / np.linalg.norm(x[small])
+        for row, cz in zip(s_alpha, c * z):
+            row += cz * z + c / z.size
+        s_alpha.flat[:: z.size + 1] -= g * (s_alpha.trace() + 2 * c)
+        with contextlib.suppress(np.linalg.LinAlgError):  # T is not certified > 0
+            np.linalg.cholesky(s_alpha)
             return lo, hi
     raise ArithmeticError(f"mu_3 >= {alpha!r} not certified: no Temple bound on mu_2")
 

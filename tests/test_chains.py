@@ -10,6 +10,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -933,6 +934,27 @@ class TestExactKernels:
             with pytest.raises(ValueError, match=r"more than w\(x\) neighbours$"):
                 exact(g, "symmetric")
 
+    @pytest.mark.parametrize("kind", ["symmetric", "random-walk"])
+    def test_gap_refuses_a_cover_within_one_parity(self, kind):
+        # Shapes of N = 5 with K = 2, 3, 3, 3, 4, 4, joined as a tree in
+        # which the cover (1, 2) joins two shapes with K = 3.  Its walk has
+        # gamma 0.19098301 (0.0954915 lazy), which a route that takes the
+        # graph to be bipartite by K misses.
+        shapes, verts = list(generate_all(5)), []
+        for k in (2, 3, 3, 3, 4, 4):
+            verts.append(next(s for s in shapes if s.n_internal == k and s not in verts))
+        edges = [(0, 3), (0, 4), (1, 2), (1, 4), (3, 5)]
+        g = graph_from_covers(
+            5,
+            tuple(verts),
+            up=tuple(tuple(b for a, b in edges if a == i) for i in range(6)),
+            down=tuple(tuple(a for a, b in edges if b == i) for i in range(6)),
+        )
+        assert 1 - oracle_spectrum(g, "random-walk", lazy=False)[-2] == pytest.approx(0.19098301)
+        for lazy in (False, True):
+            with pytest.raises(ValueError, match="one parity of K"):
+                exact_gap(g, kind, lazy=lazy)
+
     def test_bottleneck_refuses_an_unconfirmed_float_pick(self, hasse, monkeypatch):
         # The float argmin is only a candidate; a pick that the integer
         # cross-multiplication beats must not be returned.
@@ -1073,6 +1095,25 @@ def check_against_oracle(g, kind, lazy, monkeypatch):
         assert (gap.gamma_star, gap.t_rel) == (0.0, math.inf)
 
 
+def mp_gaps(graph, kind, lazy):
+    """gamma, gamma_star and 1/gamma_star from the spectrum of the
+    sqrt(pi)-similar kernel S = I - W^-1/2 L W^-1/2, built from the integer
+    degrees and weights and solved by ``mpmath.eigsy`` at 40 digits."""
+    w = chains._weights(graph, kind).tolist()
+    deg = np.add(*graph.degrees()).tolist()
+    with mpmath.workdps(40):
+        s = mpmath.matrix(graph.n_vertices)
+        for x in range(graph.n_vertices):
+            s[x, x] = 1 - mpmath.mpf(deg[x]) / w[x]
+        for x, y in zip(graph.lower.tolist(), graph.upper.tolist()):
+            s[x, y] = s[y, x] = 1 / mpmath.sqrt(w[x] * w[y])
+        lam = sorted(mpmath.eigsy(s, eigvals_only=True))
+        if lazy:
+            lam = [(1 + x) / 2 for x in lam]
+        gamma, gamma_star = 1 - lam[-2], 1 - max(abs(lam[0]), lam[-2])
+        return gamma, gamma_star, 1 / gamma_star if gamma_star > 1e-30 else None
+
+
 class TestGapAndBounds:
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("kind", ["symmetric", "random-walk"])
@@ -1101,45 +1142,40 @@ class TestGapAndBounds:
     @pytest.mark.parametrize("n", range(3, 9))
     @pytest.mark.parametrize("lazy", [False, True])
     def test_half_size_walk_matches_dense_oracle(self, n, lazy, hasse, monkeypatch):
-        # The half-size route's enclosure of 1 - sigma_2 holds the dense
-        # value, and the printed values are the dense ones rounded.
+        # The walk's enclosure of its gap holds the dense value, and the
+        # printed values are the dense ones rounded.
         g = hasse[n] if n in hasse else build_hasse(n)
         check_against_oracle(g, "random-walk", lazy, monkeypatch)
 
     @staticmethod
-    def mu2_interval(g, tol):
-        deg = np.add(*g.degrees())
-        odd = np.array([s.n_internal % 2 for s in g.vertices], dtype=bool)
-        small = odd if 2 * odd.sum() <= odd.size else ~odd
-        lower, upper = (np.array(e, dtype=np.intp) for e in chains._edges(g))
-        return chains._mu2_interval(g, deg, small, lower, upper, tol)
+    def mu2_interval(g, kind, tol):
+        return chains._mu2_interval(g, chains._weights(g, kind), tol)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_symmetric_gap_matches_dense_oracle(self, n, hasse, monkeypatch):
-        # The certified interval around mu_2 of the Laplacian L = m (I - P)
-        # holds the dense eigvalsh value, which is itself good to delta =
-        # V 2^-52 on S's scale, m delta on L's.  The interval's half-width
-        # is within the dense bound.  (At N = 3, M_3 = 1 and the symmetric
-        # chain is the walk, which exact_gap solves on the walk's route.)
+        # For either kind, the certified interval around mu_2 of W^-1/2 L
+        # W^-1/2 = I - S holds the dense eigvalsh value 1 - lambda_2, which
+        # is itself good to delta = V 2^-52.  Its width is at most 2 delta
+        # plus 2^-46 of itself, the rounding of the Rayleigh quotient.  At
+        # N = 3 (V = 2) mu_2 = 2 has no mu_3 above it.
         g = hasse[n] if n in hasse else build_hasse(n)
-        m, delta = max_degree(n), g.n_vertices * 2.0**-52
-        if n > 3:
-            lo, hi = self.mu2_interval(g, m * delta / 2)
-            assert 0 < lo < hi <= lo + 2 * m * delta
-            ref = oracle_spectrum(g, "symmetric", lazy=False)
-            assert lo - m * delta <= m * (1 - ref[-2]) <= hi + m * delta
+        delta = g.n_vertices * 2.0**-52
+        for kind in ("symmetric", "random-walk"):
+            lo, hi = self.mu2_interval(g, kind, delta / 2)
+            assert 0 < lo < hi <= lo + 2 * delta + 2.0**-46 * hi
+            ref = oracle_spectrum(g, kind, lazy=False)
+            assert lo - delta <= 1 - ref[-2] <= hi + delta
         for lazy in (False, True):
             check_against_oracle(g, "symmetric", lazy, monkeypatch)
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_symmetric_gap_refuses_alpha_above_mu3(self, n, hasse, monkeypatch, capsys):
-        # A Lanczos step whose tridiagonal eigensolve reports theta_2 = 2 a -
-        # mu_2 (below min deg(E) = 1 here) puts alpha = (rho + theta_2) / 2 at
-        # about a.  The Schur count certifies mu_3 >= alpha for a between
-        # mu_2 and mu_3, and refuses it between mu_3 and mu_4, where
-        # exact_gap prints nothing.
+        # For either kind, a Lanczos step whose tridiagonal eigensolve
+        # reports theta_2 = 2 a - mu_2 (below min deg/w over E here) puts
+        # alpha = (rho + theta_2) / 2 at about a.  The Schur count certifies
+        # mu_3 >= alpha for a between mu_2 and mu_3, and refuses it between
+        # mu_3 and mu_4, where exact_gap prints nothing.
         g = hasse[n] if n in hasse else build_hasse(n)
-        mu = max_degree(n) * (1 - np.linalg.eigvalsh(exact_kernel(g, "symmetric"))[::-1])
         eigh = np.linalg.eigh
 
         def ritz_step(t):
@@ -1147,30 +1183,53 @@ class TestGapAndBounds:
             return np.concatenate([theta[:1], [2 * a - mu[1]], theta[2:]]), vec
 
         monkeypatch.setattr(chains.np.linalg, "eigh", ritz_step)
-        for a in ((mu[1] + mu[2]) / 2, (mu[2] + mu[3]) / 2):
-            assert 2 * a - mu[1] < 1
-            if a < mu[2]:
-                lo, hi = self.mu2_interval(g, 1e-12)
-                assert lo - 1e-12 <= mu[1] <= hi + 1e-12
-                continue
-            for lazy in (False, True):
+        for kind, chain in (("symmetric", "sym"), ("random-walk", "rw")):
+            mu = 1 - oracle_spectrum(g, kind, lazy=False)[::-1]
+            ratio = np.add(*g.degrees()) / chains._weights(g, kind)
+            for a in ((mu[1] + mu[2]) / 2, (mu[2] + mu[3]) / 2):
+                assert 2 * a - mu[1] < ratio.min()
+                if a < mu[2]:
+                    lo, hi = self.mu2_interval(g, kind, 1e-12)
+                    assert lo - 1e-12 <= mu[1] <= hi + 1e-12
+                    continue
+                for lazy in (False, True):
+                    with pytest.raises(ArithmeticError, match="not certified"):
+                        exact_gap(g, kind, lazy=lazy)
                 with pytest.raises(ArithmeticError, match="not certified"):
-                    exact_gap(g, "symmetric", lazy=lazy)
-            with pytest.raises(ArithmeticError, match="not certified"):
-                cli.main(["exact", "--n", str(n), "--chain", "sym"])
+                    cli.main(["exact", "--n", str(n), "--chain", chain])
         assert capsys.readouterr().out == ""
 
     def test_symmetric_gap_builds_no_dense_kernel(self):
         # The dense route held a V x V kernel and its eigensolve's copy
-        # (19.8 MB traced at N = 8); the Lanczos route stays under half a kernel.
+        # (19.8 MB traced at N = 8); the Lanczos route stays under half a
+        # kernel for either kind.
         g = build_hasse(8)
-        tracemalloc.start()
-        try:
-            exact_gap(g, "symmetric", lazy=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * g.n_vertices**2 / 2
+        for kind in ("symmetric", "random-walk"):
+            tracemalloc.start()
+            try:
+                exact_gap(g, kind, lazy=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * g.n_vertices**2 / 2, kind
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("kind", ["symmetric", "random-walk"])
+    def test_printed_digits_match_a_40_digit_oracle(self, n, kind, hasse):
+        # Independent of float64: each certified value is the 40-digit
+        # value rounded to GAP_DIGITS, or, for the periodic plain walk,
+        # gamma_star is exactly 0 and t_rel infinite.
+        def rounded40(x):
+            return float(mpmath.nstr(x, chains.GAP_DIGITS))
+
+        for lazy in (False, True):
+            gamma, gamma_star, t_rel = mp_gaps(hasse[n], kind, lazy)
+            gap = exact_gap(hasse[n], kind, lazy=lazy)
+            assert gap.gamma == rounded40(gamma)
+            if t_rel is None:
+                assert (gap.gamma_star, gap.t_rel) == (0.0, math.inf)
+            else:
+                assert (gap.gamma_star, gap.t_rel) == (rounded40(gamma_star), rounded40(t_rel))
 
     def test_certified_rounding(self):
         assert chains._certified(0.1234567849 - 1e-12, 0.1234567849 + 1e-12) == 0.12345678
@@ -1179,11 +1238,12 @@ class TestGapAndBounds:
             chains._certified(0.123456785 - 1e-12, 0.123456785 + 1e-12)
 
     def test_gap_refuses_an_uncertain_digit(self, monkeypatch):
-        # At 10 digits the plain walk's gamma at N = 8, 0.0074287645884951
-        # +- 2.5e-13, lies within its error bound of a rounding boundary.
+        # The plain walk's gamma at N = 8 is 0.0074287645884951, 4.5e-15
+        # above the 11-digit boundary 0.00742876458845, and its certified
+        # enclosure is about 9e-14 wide, so at 11 digits it straddles.
         g = build_hasse(8)
-        monkeypatch.setattr(chains, "GAP_DIGITS", 10)
-        with pytest.raises(ArithmeticError, match="straddles a 10-digit boundary"):
+        monkeypatch.setattr(chains, "GAP_DIGITS", 11)
+        with pytest.raises(ArithmeticError, match="straddles a 11-digit boundary"):
             exact_gap(g, "random-walk")
 
     @pytest.mark.parametrize("n", range(4, 9))
